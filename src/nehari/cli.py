@@ -395,20 +395,7 @@ def _cmd_decay(cfg, spec, out: Path) -> int:
     _write(out / f"{cfg.label}_report.txt", report.format_text())
     _write(out / f"{cfg.label}_decay.txt", fit.format_text())
 
-    dom = spec.domain
-    w = np.abs(s.u.values) + np.abs(s.v.values)
-    center = np.unravel_index(int(np.argmax(w)), dom.shape)
-    dist2 = np.zeros(dom.shape)
-    for a in range(dom.dimension):
-        n, h = dom.shape[a], dom.spacing[a]
-        half = n // 2
-        wrapped = (np.arange(n) - center[a] + half) % n - half
-        shape = [1] * dom.dimension
-        shape[a] = n
-        dist2 = dist2 + (wrapped * h).reshape(shape) ** 2
-    mask = (w >= fit.window[0]) & (w <= fit.window[1]) & (w > 0)
-    d = np.sqrt(dist2)[mask]
-    amp = w[mask]
+    d, amp = fit.distances, fit.amplitudes
     order = np.argsort(d, kind="stable")
     lines = ["distance,amplitude"]
     for i in order:

@@ -19,12 +19,12 @@ plus a scalar safeguarded Newton iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
 
-from .grid import DomainSpec, GridFunction, _laplacian_values, _gradient_energy
+from .grid import DomainSpec, GridFunction, _gradient_energy, _schrodinger_values
 from .model import ProblemSpec
 
 __all__ = [
@@ -97,6 +97,7 @@ class FiberingReport:
     bracket: tuple[float, float]
     iterations: int
     slope_residual: float
+    moments: _RayData | None = None   # ray moments of the projected state t* s
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,23 @@ class _RayData:
         return 2.0 * self.a2 - sum(c * p for c, p in zip(self.coeffs, self.exps)) \
             + self.q * self.mq
 
+    def scaled(self, t: float) -> "_RayData":
+        """Moments of ``t s`` from those of ``s``."""
+        return replace(
+            self,
+            norm_sq=t * t * self.norm_sq,
+            cross=t * t * self.cross,
+            coeffs=tuple(c * t ** p for c, p in zip(self.coeffs, self.exps)),
+            mq=t ** self.q * self.mq,
+        )
+
+    def breakdown(self) -> "EnergyBreakdown":
+        quad = 0.5 * self.norm_sq
+        fpart = sum(c * ip for c, ip in zip(self.coeffs, self.inv_p))
+        qpart = self.mq / self.q
+        return EnergyBreakdown(quad, self.cross, fpart, qpart,
+                               quad - self.cross - fpart + qpart)
+
 
 def _ray_data(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> _RayData:
     dom = spec.domain
@@ -163,11 +181,7 @@ def energy(spec: ProblemSpec, s: State) -> EnergyBreakdown:
     """Evaluate the energy with its four quadrature parts."""
     if s.domain != spec.domain:
         raise ValueError("state does not live on the problem domain")
-    rd = _ray_data(spec, s.u.values, s.v.values)
-    quad = 0.5 * rd.norm_sq
-    fpart = sum(c * ip for c, ip in zip(rd.coeffs, rd.inv_p))
-    qpart = rd.mq / spec.q
-    return EnergyBreakdown(quad, rd.cross, fpart, qpart, quad - rd.cross - fpart + qpart)
+    return _ray_data(spec, s.u.values, s.v.values).breakdown()
 
 
 def coercive_form(spec: ProblemSpec, s: State) -> float:
@@ -195,11 +209,11 @@ def grad_l2(spec: ProblemSpec, s: State) -> State:
     u, v = s.u.values, s.v.values
     q = spec.q
     gu = (
-        _laplacian_values(u, dom) + spec.V1.values * u - spec.lam.values * v
+        _schrodinger_values(u, spec.V1.values, dom) - spec.lam.values * v
         - spec.f1.f(u) + np.abs(u) ** (q - 2.0) * u
     )
     gv = (
-        _laplacian_values(v, dom) + spec.V2.values * v - spec.lam.values * u
+        _schrodinger_values(v, spec.V2.values, dom) - spec.lam.values * u
         - spec.f2.f(v) + np.abs(v) ** (q - 2.0) * v
     )
     return State.from_values(dom, gu, gv)
@@ -214,26 +228,18 @@ def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, c: float) -> np.n
     """Exact solve of ``(-lap_h + c) g = rhs`` by fast sine/Fourier transforms."""
     dim = domain.dimension
     h = domain.spacing
-    if domain.periodic:
-        spec = scipy.fft.rfftn(rhs)
-        lam = np.zeros(spec.shape)
-        for a in range(dim):
-            n = domain.shape[a]
-            k = np.arange(spec.shape[a])
-            eig = (4.0 / h[a] ** 2) * np.sin(np.pi * k / n) ** 2
-            shape = [1] * dim
-            shape[a] = spec.shape[a]
-            lam = lam + eig.reshape(shape)
-        return scipy.fft.irfftn(spec / (lam + c), s=domain.shape)
-    coeff = scipy.fft.dstn(rhs, type=1)
-    lam = np.zeros(domain.shape)
+    coeff = scipy.fft.rfftn(rhs) if domain.periodic else scipy.fft.dstn(rhs, type=1)
+    lam = np.zeros(coeff.shape)
     for a in range(dim):
         n = domain.shape[a]
-        k = np.arange(n)
-        eig = (4.0 / h[a] ** 2) * np.sin(np.pi * (k + 1) / (2.0 * (n + 1))) ** 2
+        k = np.arange(coeff.shape[a])
+        angle = np.pi * k / n if domain.periodic else np.pi * (k + 1) / (2.0 * (n + 1))
+        eig = (4.0 / h[a] ** 2) * np.sin(angle) ** 2
         shape = [1] * dim
-        shape[a] = n
+        shape[a] = coeff.shape[a]
         lam = lam + eig.reshape(shape)
+    if domain.periodic:
+        return scipy.fft.irfftn(coeff / (lam + c), s=domain.shape)
     return scipy.fft.idstn(coeff / (lam + c), type=1)
 
 
@@ -251,10 +257,6 @@ def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
         return np.zeros_like(b), 0
     b = b / b_norm   # keep intermediates O(1); tiny residuals underflow otherwise
     c = float(np.mean(V))
-
-    def apply_A(x):
-        return _laplacian_values(x, domain) + V * x
-
     max_iter = int(np.ceil(10.0 * np.sqrt(n)))
     x = np.zeros_like(b)
     r = b.copy()
@@ -262,7 +264,7 @@ def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
     p = z.copy()
     rz = float(np.sum(r * z))
     for k in range(1, max_iter + 1):
-        Ap = apply_A(p)
+        Ap = _schrodinger_values(p, V, domain)
         alpha = rz / float(np.sum(p * Ap))
         x += alpha * p
         r -= alpha * Ap
@@ -316,11 +318,11 @@ def xi_grad_l2(spec: ProblemSpec, s: State) -> State:
     u, v = s.u.values, s.v.values
     q = spec.q
     gu = (
-        2.0 * (_laplacian_values(u, dom) + spec.V1.values * u - spec.lam.values * v)
+        2.0 * (_schrodinger_values(u, spec.V1.values, dom) - spec.lam.values * v)
         - spec.f1.f_prime(u) * u - spec.f1.f(u) + q * np.abs(u) ** (q - 2.0) * u
     )
     gv = (
-        2.0 * (_laplacian_values(v, dom) + spec.V2.values * v - spec.lam.values * u)
+        2.0 * (_schrodinger_values(v, spec.V2.values, dom) - spec.lam.values * u)
         - spec.f2.f_prime(v) * v - spec.f2.f(v) + q * np.abs(v) ** (q - 2.0) * v
     )
     return State.from_values(dom, gu, gv)
@@ -401,8 +403,9 @@ def fibering_project(spec: ProblemSpec, s: State,
     Finds the unique ``t* > 0`` with ``phi'(t*) = 0`` (bracketing by
     doubling/halving from ``t = 1``, then safeguarded Newton with the exact
     second derivative of the moment form) and returns the report together
-    with the scaled state.  The fibering value at ``t*`` dominates both
-    bracket ends, which is asserted.
+    with the scaled state; the report carries the ray moments of the scaled
+    state, so callers need not evaluate it again.  The fibering value at
+    ``t*`` dominates both bracket ends, which is asserted.
     """
     if s.is_zero():
         raise ValueError("cannot project the zero state onto the manifold")
@@ -413,5 +416,6 @@ def fibering_project(spec: ProblemSpec, s: State,
     slack = 1e-9 * (1.0 + abs(phi_t))
     if not (phi_t >= rd.phi(bracket[0]) - slack and phi_t >= rd.phi(bracket[1]) - slack):
         raise RuntimeError("fibering maximizer does not dominate its bracket")
-    report = FiberingReport(t, phi_t, bracket, iterations, abs(rd.phi_prime(t)))
+    report = FiberingReport(t, phi_t, bracket, iterations, abs(rd.phi_prime(t)),
+                            rd.scaled(t))
     return report, s.scaled(t)

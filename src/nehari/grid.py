@@ -247,10 +247,22 @@ def _potential_values(V, domain: DomainSpec) -> np.ndarray:
     return np.full(domain.shape, float(V))
 
 
+def _schrodinger_values(a: np.ndarray, V: np.ndarray, domain: DomainSpec) -> np.ndarray:
+    """``-lap_h a + V a``: the one route every Schrodinger operator goes through."""
+    return _laplacian_values(a, domain) + V * a
+
+
 def schrodinger_apply(f: GridFunction, V) -> GridFunction:
     """Apply ``-lap_h + V`` to ``f`` (``V`` a grid function, scalar or None)."""
     Va = _potential_values(V, f.domain)
-    return GridFunction(f.domain, _laplacian_values(f.values, f.domain) + Va * f.values)
+    return GridFunction(f.domain, _schrodinger_values(f.values, Va, f.domain))
+
+
+def _forward_difference(a: np.ndarray, axis: int, domain: DomainSpec) -> np.ndarray:
+    """``D+ a`` along one axis, with the boundary intervals on Dirichlet domains."""
+    if domain.periodic:
+        return np.roll(a, -1, axis=axis) - a
+    return np.diff(a, axis=axis, prepend=0.0, append=0.0)
 
 
 def _gradient_energy(a: np.ndarray, domain: DomainSpec, exact: bool = False) -> float:
@@ -260,10 +272,7 @@ def _gradient_energy(a: np.ndarray, domain: DomainSpec, exact: bool = False) -> 
     total = 0.0
     for axis in range(domain.dimension):
         h = domain.spacing[axis]
-        if domain.periodic:
-            d = np.roll(a, -1, axis=axis) - a
-        else:
-            d = np.diff(a, axis=axis, prepend=0.0, append=0.0)
+        d = _forward_difference(a, axis, domain)
         total += reduce(d * d) * vol / (h * h)
     return total
 
@@ -273,12 +282,8 @@ def _gradient_inner(a: np.ndarray, b: np.ndarray, domain: DomainSpec) -> float:
     total = 0.0
     for axis in range(domain.dimension):
         h = domain.spacing[axis]
-        if domain.periodic:
-            da = np.roll(a, -1, axis=axis) - a
-            db = np.roll(b, -1, axis=axis) - b
-        else:
-            da = np.diff(a, axis=axis, prepend=0.0, append=0.0)
-            db = np.diff(b, axis=axis, prepend=0.0, append=0.0)
+        da = _forward_difference(a, axis, domain)
+        db = _forward_difference(b, axis, domain)
         total += _csum(da * db) * vol / (h * h)
     return total
 
@@ -380,6 +385,8 @@ def local_mass_sup(u: GridFunction, v: GridFunction, r: float) -> tuple[float, t
 # ---------------------------------------------------------------------------
 
 _MAGIC = "nehari-grid v1"
+_HEADER_KEYS = ("dim", "kind", "shape", "lengths")
+_FILE_KINDS = {"dirichlet": "dirichlet_box", "periodic": "periodic_torus"}
 
 
 def _format_length(l: float, periodic: bool) -> str:
@@ -403,19 +410,30 @@ def save_grid_function(f: GridFunction, path) -> None:
 
 
 def load_grid_function(path) -> GridFunction:
+    """Read a nehari-grid v1 file; a header field that is unknown, duplicated
+    or missing, or a payload of the wrong length, raises ``ValueError``."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").strip()
         raw = fh.read()
     fields = [part.strip() for part in header.split(";")]
     if fields[0] != _MAGIC:
         raise ValueError(f"not a nehari-grid file: header starts with {fields[0]!r}")
-    meta = dict(part.split("=", 1) for part in fields[1:])
-    dim = int(meta["dim"])
-    kind = "periodic_torus" if meta["kind"] == "periodic" else "dirichlet_box"
+    meta = {}
+    for key, _, value in (part.partition("=") for part in fields[1:]):
+        if key not in _HEADER_KEYS or key in meta:
+            raise ValueError(f"{'duplicated' if key in meta else 'unknown'} header field {key!r}")
+        meta[key] = value
+    for key in _HEADER_KEYS:
+        if key not in meta:
+            raise ValueError(f"missing header field {key!r}")
+    if meta["kind"] not in _FILE_KINDS:
+        raise ValueError(f"unknown domain kind {meta['kind']!r}")
     shape = tuple(int(s) for s in meta["shape"].split(","))
     lengths = tuple(float(s) for s in meta["lengths"].split(","))
-    domain = DomainSpec(dim, kind, shape, lengths)
-    values = np.frombuffer(raw, dtype="<f8", count=domain.size).reshape(shape)
+    domain = DomainSpec(int(meta["dim"]), _FILE_KINDS[meta["kind"]], shape, lengths)
+    if len(raw) != 8 * domain.size:
+        raise ValueError(f"payload holds {len(raw)} bytes, shape {shape} needs {8 * domain.size}")
+    values = np.frombuffer(raw, dtype="<f8").reshape(shape)
     return GridFunction(domain, values)
 
 

@@ -93,18 +93,6 @@ class Nonlinearity:
         return out if out.ndim else float(out)
 
 
-def f_eval(nl: Nonlinearity, s):
-    return nl.f(s)
-
-
-def F_eval(nl: Nonlinearity, s):
-    return nl.F(s)
-
-
-def f_prime_eval(nl: Nonlinearity, s):
-    return nl.f_prime(s)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str

@@ -26,15 +26,14 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg import eigh
 
-from .grid import DomainSpec, shift, _laplacian_values
+from .grid import DomainSpec, shift, _schrodinger_values
 from .model import ProblemSpec
 from .energy import (
+    FiberingReport,
     State,
     _ray_data,
     e_inner,
-    energy,
     grad_l2,
-    nehari_xi,
     norm_E,
 )
 from .solver import (
@@ -297,11 +296,8 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
 def _apply_block(spec: ProblemSpec, s: State) -> State:
     """Block operator ``(-lap+V1, -lap+V2)`` applied to a state."""
     dom = spec.domain
-    return State.from_values(
-        dom,
-        _laplacian_values(s.u.values, dom) + spec.V1.values * s.u.values,
-        _laplacian_values(s.v.values, dom) + spec.V2.values * s.v.values,
-    )
+    return State.from_values(dom, _schrodinger_values(s.u.values, spec.V1.values, dom),
+                             _schrodinger_values(s.v.values, spec.V2.values, dom))
 
 
 def _orbit_realizer(spec: ProblemSpec, s1: State, s2: State):
@@ -488,31 +484,39 @@ def _symmetry_filters(spec: ProblemSpec) -> list:
 
 
 class _DeflatedObjective:
-    """Energy times shifted deflation factors centered at known orbits."""
+    """Energy times shifted deflation factors centered at known orbits.
+
+    The orbit realizers and factors of a point are computed when its value
+    is taken and reused by ``grad`` and ``radial_derivative`` of the same
+    point, so each known orbit is realized once per point.
+    """
 
     def __init__(self, spec: ProblemSpec, known: list[State], sigma: float = _DEFLATION_SIGMA):
         self.spec = spec
         self.known = known
         self.sigma = sigma
+        self._point = None   # (state, dists, realizers, factors) last evaluated
 
     def _factors(self, s: State):
-        dists, realizers = [], []
-        for sk in self.known:
-            dist, sign, z = _orbit_realizer(self.spec, s, sk)
-            dists.append(max(dist, 1e-150))
-            realizers.append((sign, z, sk))
-        factors = [1.0 + self.sigma / d ** 2 for d in dists]
-        return dists, realizers, factors
+        if self._point is None or self._point[0] is not s:
+            dists, realizers = [], []
+            for sk in self.known:
+                dist, sign, z = _orbit_realizer(self.spec, s, sk)
+                dists.append(max(dist, 1e-150))
+                realizers.append((sign, z, sk))
+            factors = [1.0 + self.sigma / d ** 2 for d in dists]
+            self._point = (s, dists, realizers, factors)
+        return self._point[1:]
 
-    def value(self, s: State) -> float:
+    def value(self, s: State, fib: FiberingReport) -> float:
         _, _, factors = self._factors(s)
-        return energy(self.spec, s).total * float(np.prod(factors))
+        return fib.phi_at_t * float(np.prod(factors))
 
-    def grad(self, s: State) -> State:
+    def grad(self, s: State, fib: FiberingReport) -> State:
         dom = self.spec.domain
         dists, realizers, factors = self._factors(s)
         pi = float(np.prod(factors))
-        J = energy(self.spec, s).total
+        J = fib.phi_at_t
         g = grad_l2(self.spec, s)
         gu = pi * g.u.values
         gv = pi * g.v.values
@@ -525,12 +529,12 @@ class _DeflatedObjective:
             gv += coef * 2.0 * a_diff.v.values
         return State.from_values(dom, gu, gv)
 
-    def radial_derivative(self, s: State) -> float:
+    def radial_derivative(self, s: State, fib: FiberingReport) -> float:
         dists, realizers, factors = self._factors(s)
         pi = float(np.prod(factors))
-        J = energy(self.spec, s).total
-        total = pi * nehari_xi(self.spec, s)
-        nsq = norm_E(self.spec, s) ** 2
+        J = fib.phi_at_t
+        total = pi * fib.moments.xi()
+        nsq = fib.moments.norm_sq
         for dk, (sign, z, sk), fk in zip(dists, realizers, factors):
             w = self._realized(sign, z, sk)
             ip = e_inner(self.spec, s, w)
@@ -563,14 +567,7 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
         return find_ground_state(spec, config)
 
     objective = _DeflatedObjective(spec, known.deflation_states())
-    deflate_cfg = SolveConfig(
-        max_iters=config.max_iters,
-        grad_tol=max(config.grad_tol, 1e-6),
-        armijo=config.armijo,
-        starts=config.starts,
-        seed=config.seed,
-        recenter_every=0,
-    )
+    deflate_cfg = replace(config, grad_tol=max(config.grad_tol, 1e-6), recenter_every=0)
     inits = initial_states(spec, config)
     runs = [(filt(inits[0]), filt) for filt in _symmetry_filters(spec)]
     runs += [(init, None) for init in inits]
@@ -617,14 +614,7 @@ def find_distinct_solutions(spec: ProblemSpec, config: SolveConfig,
     while len(solutions) < target_count and collapses < collapse_budget \
             and attempt < max_attempts:
         attempt += 1
-        cfg = SolveConfig(
-            max_iters=config.max_iters,
-            grad_tol=config.grad_tol,
-            armijo=config.armijo,
-            starts=config.starts,
-            seed=config.seed + 1000003 * attempt,
-            recenter_every=config.recenter_every,
-        )
+        cfg = replace(config, seed=config.seed + 1000003 * attempt)
         try:
             rep, state = deflated_search(spec, cfg, solutions)
         except RuntimeError:

@@ -14,22 +14,22 @@ mutually inverse maps between the unit sphere and the manifold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid import l2_inner, l2_norm_sq, local_mass_sup, shift
 from .model import ProblemSpec
 from .energy import (
+    FiberingReport,
     State,
-    energy,
+    _ray_data,
     fibering_project,
     grad_l2,
     grad_precond,
     nehari_xi,
     norm_E,
     xi_grad_l2,
-    nehari_xi_slope,
 )
 
 __all__ = [
@@ -103,6 +103,9 @@ class DecayFit:
     r_squared: float
     window: tuple[float, float]   # absolute amplitude bounds used
     n_samples: int
+    # the fitted samples: distance to the peak node and amplitude |u| + |v|
+    distances: np.ndarray | None = field(default=None, repr=False, compare=False)
+    amplitudes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def format_text(self) -> str:
         return (
@@ -120,13 +123,13 @@ class _EnergyObjective:
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
 
-    def value(self, s: State) -> float:
-        return energy(self.spec, s).total
+    def value(self, s: State, fib: FiberingReport) -> float:
+        return fib.phi_at_t
 
-    def grad(self, s: State) -> State:
+    def grad(self, s: State, fib: FiberingReport) -> State:
         return grad_l2(self.spec, s)
 
-    def radial_derivative(self, s: State) -> float:
+    def radial_derivative(self, s: State, fib: FiberingReport) -> float:
         return 0.0
 
 
@@ -180,22 +183,24 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: State, objective,
     ``direction_filter`` optionally projects search directions onto an
     exactly invariant subspace (symmetry-restricted search); the reported
     residual always measures the full, unfiltered gradient.  ``trace``
-    collects the accepted objective values.
+    collects the accepted objective values.  Each point is evaluated once:
+    the objective reads its value from the report ``fib`` of the projection
+    that produced the point, and the norm and xi-slope come from its moments.
     """
-    _, s = fibering_project(spec, init)
-    J = objective.value(s)
+    fib, s = fibering_project(spec, init)
+    J = objective.value(s, fib)
     if trace is not None:
         trace.append(J)
-    rho = norm_E(spec, s)
     c1, back = config.armijo
     status = "max_iters"
     iterations = 0
     residual = float("inf")
+    rho = float("inf")
 
     for it in range(config.max_iters + 1):
-        g = objective.grad(s)
+        g = objective.grad(s, fib)
         gnorm = float(np.sqrt(l2_norm_sq(g.u) + l2_norm_sq(g.v)))
-        nrm = norm_E(spec, s)
+        nrm = float(np.sqrt(fib.moments.norm_sq))
         rho = min(rho, nrm)
         residual = gnorm / nrm
         if residual <= config.grad_tol:
@@ -208,13 +213,13 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: State, objective,
         if direction_filter is not None:
             d = direction_filter(d)
         slope = -(l2_inner(g.u, d.u) + l2_inner(g.v, d.v))
-        radial = objective.radial_derivative(s)
+        radial = objective.radial_derivative(s, fib)
         if radial != 0.0:
             # retraction kills the ray component; correct the slope by the
             # implicit change of the fibering scale along the direction
             xg = xi_grad_l2(spec, s)
             xi_d = -(l2_inner(xg.u, d.u) + l2_inner(xg.v, d.v))
-            slope += -(xi_d / nehari_xi_slope(spec, s)) * radial
+            slope += -(xi_d / fib.moments.xi_slope()) * radial
         if slope >= 0.0:
             status = "stalled"
             break
@@ -229,8 +234,8 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: State, objective,
             trial_v = s.v.values - alpha * d.v.values
             if np.any(trial_u) or np.any(trial_v):
                 trial = State.from_values(spec.domain, trial_u, trial_v)
-                _, s_trial = fibering_project(spec, trial)
-                J_trial = objective.value(s_trial)
+                fib_trial, s_trial = fibering_project(spec, trial)
+                J_trial = objective.value(s_trial, fib_trial)
                 if J_trial <= J + c1 * alpha * slope + fuzz:
                     accepted = True
                     break
@@ -239,7 +244,7 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: State, objective,
             status = "stalled"
             break
 
-        s, J = s_trial, J_trial
+        s, fib, J = s_trial, fib_trial, J_trial
         if trace is not None:
             trace.append(J)
         iterations = it + 1
@@ -247,15 +252,16 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: State, objective,
                 and iterations % config.recenter_every == 0):
             s, _ = recenter(s)
 
-    nrm = norm_E(spec, s)
+    rd = _ray_data(spec, s.u.values, s.v.values)
+    nrm = float(np.sqrt(rd.norm_sq))
     report = SolveReport(
-        energy=energy(spec, s).total,
+        energy=rd.breakdown().total,
         grad_residual=residual,
-        xi_residual=abs(nehari_xi(spec, s)),
+        xi_residual=abs(rd.xi()),
         iterations=iterations,
         start_index=start_index,
         norm=nrm,
-        rho_estimate=rho,
+        rho_estimate=min(rho, nrm),
         status=status,
     )
     return report, s
@@ -385,13 +391,15 @@ def decay_fit(s: State, window: tuple[float, float] = (1e-12, 1e-3)) -> DecayFit
         shape[a] = n
         dist2 = dist2 + (wrapped * h).reshape(shape) ** 2
     d = np.sqrt(dist2)[mask]
-    logw = np.log(w[mask])
+    amp = w[mask]
+    logw = np.log(amp)
     slope, intercept = np.polyfit(d, logw, 1)
     pred = slope * d + intercept
     ss_res = float(np.sum((logw - pred) ** 2))
     ss_tot = float(np.sum((logw - logw.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return DecayFit(float(np.exp(intercept)), float(-slope), r2, (lo, hi), n_samples)
+    return DecayFit(float(np.exp(intercept)), float(-slope), r2, (lo, hi), n_samples,
+                    d, amp)
 
 
 def m_map(spec: ProblemSpec, w: State) -> State:

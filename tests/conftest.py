@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,21 @@ def random_state(spec, rng, smooth=False):
     u = rng.standard_normal(dom.shape)
     v = rng.standard_normal(dom.shape)
     return State.from_values(dom, u, v)
+
+
+def count_calls(monkeypatch, counts, name):
+    """Count calls of ``name`` in every nehari module namespace that binds it.
+
+    Modules come from ``sys.modules``: the package attribute ``nehari.energy``
+    is the ``energy`` function, not the module.
+    """
+    modules = [sys.modules[f"nehari.{m}"] for m in ("energy", "solver", "multiplicity")]
+    target = next(m.__dict__[name] for m in modules if name in m.__dict__)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return target(*args, **kwargs)
+
+    for mod in modules:
+        if mod.__dict__.get(name) is target:
+            monkeypatch.setattr(mod, name, counted)

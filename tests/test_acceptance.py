@@ -245,8 +245,11 @@ def test_c6_periodic_setting():
     rel = abs(rep32.energy - rep16.energy) / abs(rep16.energy)
     assert rel < 1e-4
 
-    # decay is fitted on the doubled torus, whose amplitude window actually
-    # contains uncontaminated decades (see the decisions ledger)
+    # decay is fitted on the doubled torus: at a rate near sqrt(V - lam) the
+    # amplitude at half of the 16-period falls only to about 1e-3 of the peak,
+    # the top of the fit window, so there nearly every window node sits where
+    # the tails of periodic images overlap (r^2 about 0.955); at period 32 the
+    # overlap begins near 1e-6 and the window keeps three clean decades
     s32c, _ = recenter(s32)
     fit = decay_fit(s32c)
     assert fit.alpha > 0

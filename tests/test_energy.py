@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nehari.grid import DomainSpec, GridFunction, l2_inner, l2_norm_sq, schrodinger_apply
 from nehari.energy import (
     State,
+    _ray_data,
     coercive_form,
     e_inner,
     energy,
@@ -339,3 +341,31 @@ def test_e_inner_matches_norm(bounded_2d_spec):
     s = random_state(bounded_2d_spec, rng)
     assert np.isclose(e_inner(bounded_2d_spec, s, s), norm_E(bounded_2d_spec, s) ** 2,
                       rtol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["small_bounded_spec", "bounded_2d_spec",
+                                     "periodic_spec_1d", "periodic_spec_2d"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(1e-2, 1e2),
+       support=st.sampled_from(["both", "u", "v"]))
+def test_projection_moments_match_projected_state(request, fixture, seed, amplitude,
+                                                  support):
+    """The moments the projection carries out are those of the state it returns."""
+    spec = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(seed)
+    dom = spec.domain
+    u = amplitude * rng.standard_normal(dom.shape) * (support != "v")
+    v = amplitude * rng.standard_normal(dom.shape) * (support != "u")
+    rep, s_on = fibering_project(spec, State.from_values(dom, u, v))
+    carried = rep.moments
+    fresh = _ray_data(spec, s_on.u.values, s_on.v.values)
+    scale = (fresh.norm_sq + 2.0 * abs(fresh.cross) + fresh.q * fresh.mq
+             + sum(p * abs(c) for c, p in zip(fresh.coeffs, fresh.exps)))
+    pairs = [
+        (rep.phi_at_t, fresh.breakdown().total),
+        (carried.norm_sq, fresh.norm_sq),
+        (carried.xi(), fresh.xi()),
+        (carried.xi_slope(), fresh.xi_slope()),
+    ]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-12 * scale

@@ -201,6 +201,34 @@ def test_grid_file_roundtrip(tmp_path):
         load_grid_function(bogus)
 
 
+def _saved_grid_bytes(tmp_path) -> tuple[bytes, bytes]:
+    dom = DomainSpec.dirichlet_box((1.0, 0.5), (3, 2))
+    path = tmp_path / "ok.grid"
+    save_grid_function(GridFunction(dom, np.arange(6.0).reshape(3, 2)), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    return header, payload
+
+
+@pytest.mark.parametrize("defect, edit", [
+    pytest.param("payload holds", lambda h, p: h + b"\n" + p + b"\x00", id="extra-byte"),
+    pytest.param("payload holds", lambda h, p: h + b"\n" + p[:-1], id="missing-byte"),
+    pytest.param("unknown header field 'units'", lambda h, p: h + b"; units=m\n" + p,
+                 id="unknown-field"),
+    pytest.param("duplicated header field 'dim'", lambda h, p: h + b"; dim=2\n" + p,
+                 id="duplicated-field"),
+    pytest.param("missing header field 'lengths'",
+                 lambda h, p: h.rsplit(b"; lengths=", 1)[0] + b"\n" + p, id="missing-lengths"),
+    pytest.param("unknown domain kind",
+                 lambda h, p: h.replace(b"dirichlet", b"neumann") + b"\n" + p, id="unknown-kind"),
+])
+def test_grid_file_loader_is_strict(tmp_path, defect, edit):
+    header, payload = _saved_grid_bytes(tmp_path)
+    path = tmp_path / "bad.grid"
+    path.write_bytes(edit(header, payload))
+    with pytest.raises(ValueError, match=defect):
+        load_grid_function(path)
+
+
 def test_csv_export_shape():
     dom = DomainSpec.dirichlet_box(1.0, 4)
     f = GridFunction(dom, np.arange(4.0))

@@ -5,16 +5,17 @@ import pytest
 
 from nehari.grid import DomainSpec, shift
 from nehari.energy import State, e_inner, norm_E
-from nehari.solver import SolveConfig, find_ground_state
+from nehari.solver import SolveConfig, _descend, find_ground_state, initial_states
 from nehari.multiplicity import (
     SolutionSet,
+    _DeflatedObjective,
     deflated_search,
     eigenbasis,
     find_distinct_solutions,
     fountain_diagnostics,
     orbit_distance,
 )
-from conftest import make_spec, random_state
+from conftest import count_calls, make_spec, random_state
 
 
 def test_eigenbasis_dirichlet_formula(small_bounded_spec):
@@ -166,3 +167,21 @@ def test_collapse_budget_terminates(small_bounded_spec):
     sols = find_distinct_solutions(small_bounded_spec, cfg,
                                    target_count=50, collapse_budget=2)
     assert len(sols) < 50   # budget exhausted without hanging
+
+
+def test_deflated_descent_realizes_each_orbit_once_per_point(monkeypatch,
+                                                            small_bounded_spec):
+    """Value, gradient and radial derivative of a point share its realizers."""
+    spec = small_bounded_spec
+    _, ground = find_ground_state(spec, SolveConfig(seed=8, starts=2))
+    cfg = SolveConfig(seed=8, starts=2, max_iters=25)
+    known = [ground, ground.scaled(0.5)]
+    counts = {}
+    for name in ("_ray_data", "fibering_project", "_orbit_realizer"):
+        count_calls(monkeypatch, counts, name)
+    objective = _DeflatedObjective(spec, known)
+    init = initial_states(spec, cfg)[1]
+    rep, _ = _descend(spec, cfg, init, objective, 0)
+    assert rep.iterations > 0
+    assert counts["_orbit_realizer"] == len(known) * counts["fibering_project"]
+    assert counts["_ray_data"] == counts["fibering_project"] + 1

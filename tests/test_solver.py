@@ -16,7 +16,7 @@ from nehari.solver import (
     minimize_on_nehari,
     recenter,
 )
-from conftest import make_spec, random_state
+from conftest import count_calls, make_spec, random_state
 
 
 def periodic_bump(dom, center, width=0.5):
@@ -259,3 +259,18 @@ def test_m_map_guards(bounded_spec):
         m_map(bounded_spec, s.scaled(3.0 / norm_E(bounded_spec, s)))
     with pytest.raises(ValueError):
         m_inverse(bounded_spec, s)   # not on the manifold
+
+
+def test_one_moment_pass_per_descent_point(monkeypatch, bounded_spec):
+    """Each projection makes the only moment pass of its point; each descent adds
+    one for its report, and no state is re-evaluated through the energy API."""
+    counts = {}
+    for name in ("_ray_data", "fibering_project", "_descend",
+                 "energy", "norm_E", "nehari_xi", "nehari_xi_slope"):
+        count_calls(monkeypatch, counts, name)
+    rep, _ = find_ground_state(bounded_spec, SolveConfig())
+    assert rep.status == "converged"
+    assert counts["_descend"] >= 5
+    assert counts["_ray_data"] == counts["fibering_project"] + counts["_descend"]
+    for name in ("energy", "norm_E", "nehari_xi", "nehari_xi_slope"):
+        assert counts.get(name, 0) == 0
