@@ -15,7 +15,8 @@ Commands:
 * ``fibering``      -- samples of the ray map and its slope as CSV
 * ``decay``         -- periodic solve, recentering and decay fit
 
-Exit codes: 0 success, 2 validation failure, 3 solver stall.
+Exit codes: 0 success, 2 validation failure, 3 solver stall, 4 numerical
+failure (any other ``RuntimeError``, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -431,6 +432,10 @@ def run(cfg: RunConfig) -> int:
     except SolverStallError as exc:
         print(f"solver stalled: {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        reason = " ".join(str(exc).split()) or type(exc).__name__
+        print(f"numerical failure: {reason}", file=sys.stderr)
+        return 4
 
 
 def main(argv=None) -> int:

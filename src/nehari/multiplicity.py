@@ -167,40 +167,68 @@ def _growth_constant(spec: ProblemSpec) -> float:
     return c
 
 
-def _pnorm_and_grad(x, Bu, Bv, p, vol):
-    """|u|_p + |v|_p and its gradient in basis coordinates."""
-    total = 0.0
-    grad = np.zeros_like(x)
+_ASCENT_STEPS = 200          # accepted steps after which an ascent row stops
+
+
+def _pnorm_and_grad(X, Bu, Bv, p, vol):
+    """Row-wise ``|u|_p + |v|_p`` of basis coordinates, and its gradient.
+
+    Returns the values of the rows of ``X`` and a function that forms the
+    gradients of the selected rows from the same products, so a row whose
+    gradient is never asked for costs one product per block and no more.
+    """
+    total = np.zeros(len(X))
+    blocks = []
     for B in (Bu, Bv):
-        w = x @ B
-        mp = float(np.sum(np.abs(w) ** p)) * vol
-        if mp > 0.0:
-            norm = mp ** (1.0 / p)
-            total += norm
-            grad += (norm / mp) * (B @ (np.abs(w) ** (p - 1.0) * np.sign(w))) * vol
+        W = X @ B
+        A = np.abs(W)
+        P = A ** (p - 1.0)
+        mp = np.sum(P * A, axis=1) * vol
+        norm = mp ** (1.0 / p)
+        total += norm
+        coef = np.divide(norm, mp, out=np.zeros_like(mp), where=mp > 0.0)
+        blocks.append((B, W, P, coef))
+
+    def grad(rows):
+        G = np.zeros((len(rows), X.shape[1]))
+        for B, W, P, coef in blocks:
+            G += coef[rows, None] * (np.copysign(P[rows], W[rows]) @ B.T) * vol
+        return G
+
     return total, grad
 
 
-def _sphere_ascent(x0, Bu, Bv, p, vol, iters=200):
-    x = x0 / np.linalg.norm(x0)
-    val, g = _pnorm_and_grad(x, Bu, Bv, p, vol)
-    step = 1.0
-    for _ in range(iters):
-        while step > 1e-12:
-            y = x + step * g
-            y /= np.linalg.norm(y)
-            val_y, g_y = _pnorm_and_grad(y, Bu, Bv, p, vol)
-            if val_y > val:
-                break
-            step *= 0.5
-        else:
-            break
-        if val_y - val < 1e-12 * (1.0 + val):
-            x, val, g = y, val_y, g_y
-            break
-        x, val, g = y, val_y, g_y
-        step *= 1.5
-    return x, val
+def _sphere_ascent(X0, Bu, Bv, p, vol):
+    """Projected gradient ascent of ``|u|_p + |v|_p`` on the unit sphere.
+
+    Every row of ``X0`` is a start, and all rows climb together: each round
+    tries one step for every active row with one product per block.  A row
+    accepts a trial that raises its value, then stops on convergence or
+    after ``_ASCENT_STEPS`` accepted steps, or else grows its step by 1.5;
+    a rejected trial halves the step, and the row stops once the step is
+    down to 1e-12.  Returns the final rows and their values.
+    """
+    X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
+    val, grad = _pnorm_and_grad(X, Bu, Bv, p, vol)
+    G = grad(np.arange(len(X)))
+    step = np.ones(len(X))
+    accepted = np.zeros(len(X), dtype=int)
+    active = np.arange(len(X))
+    while active.size:
+        Y = X[active] + step[active, None] * G[active]
+        Y /= np.linalg.norm(Y, axis=1, keepdims=True)
+        val_y, grad = _pnorm_and_grad(Y, Bu, Bv, p, vol)
+        old = val[active]
+        up = val_y > old
+        converged = up & (val_y - old < 1e-12 * (1.0 + old))
+        X[active[up]] = Y[up]
+        val[active[up]] = val_y[up]
+        accepted[active[up]] += 1
+        climbing = up & ~converged & (accepted[active] < _ASCENT_STEPS)
+        G[active[climbing]] = grad(np.flatnonzero(climbing))
+        step[active] *= np.where(up, 1.5, 0.5)
+        active = active[climbing | (~up & (step[active] > 1e-12))]
+    return X, val
 
 
 def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
@@ -238,17 +266,14 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
     for k in range(k_max, 0, -1):
         Bu, Bv = all_u[k - 1:], all_v[k - 1:]
         dim = K - (k - 1)
-        best_val, best_x = -np.inf, None
-        seeds = [rng.standard_normal(dim) for _ in range(restarts)]
+        starts = rng.standard_normal((restarts, dim))
         if carry is not None:
-            seeds.append(np.concatenate([[0.0], carry]))
-        for x0 in seeds:
-            x, val = _sphere_ascent(x0, Bu, Bv, p, vol)
-            if val > best_val:
-                best_val, best_x = val, x
-        beta[k] = max(best_val, prev)
+            starts = np.vstack([starts, np.concatenate([[0.0], carry])])
+        X, vals = _sphere_ascent(starts, Bu, Bv, p, vol)
+        best = int(np.argmax(vals))
+        beta[k] = max(float(vals[best]), prev)
         prev = beta[k]
-        carry = best_x
+        carry = X[best]
     beta = beta[1:]
 
     r = [(2.0 * c_growth * (p / (1.0 - delta)) * b ** p) ** (1.0 / (2.0 - p)) for b in beta]
@@ -354,10 +379,6 @@ def orbit_distance(spec: ProblemSpec, s1: State, s2: State) -> float:
     return dist
 
 
-def _distinct_threshold(spec: ProblemSpec, s1: State, s2: State) -> float:
-    return _DISTINCT_FACTOR * max(norm_E(spec, s1), norm_E(spec, s2))
-
-
 @dataclass
 class SolutionSet:
     """Distinct solutions sorted by energy with their pairwise orbit distances.
@@ -372,6 +393,10 @@ class SolutionSet:
     entries: list[tuple[State, SolveReport]] = field(default_factory=list)
     pairwise_distances: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     twin_orbits: list[State] = field(default_factory=list)
+    # norm_E of each stored state, computed once when it is stored, in the
+    # order of ``entries`` and of ``twin_orbits``
+    _entry_norms: list[float] = field(default_factory=list, init=False, repr=False)
+    _twin_norms: list[float] = field(default_factory=list, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -383,9 +408,14 @@ class SolutionSet:
         return self.states() + self.twin_orbits
 
     def is_new_orbit(self, s: State) -> bool:
+        return self._is_new_orbit(s, norm_E(self.spec, s))
+
+    def _is_new_orbit(self, s: State, norm: float) -> bool:
+        known = zip(self.deflation_states(), self._entry_norms + self._twin_norms,
+                    strict=True)
         return all(
-            orbit_distance(self.spec, s, sk) > _distinct_threshold(self.spec, s, sk)
-            for sk in self.deflation_states()
+            orbit_distance(self.spec, s, sk) > _DISTINCT_FACTOR * max(norm, norm_k)
+            for sk, norm_k in known
         )
 
     def has_new_level(self, e: float) -> bool:
@@ -396,13 +426,18 @@ class SolutionSet:
 
     def add(self, s: State, report: SolveReport) -> str:
         """Insert a candidate; returns ``added``, ``twin`` or ``known``."""
-        if not self.is_new_orbit(s):
+        norm = norm_E(self.spec, s)
+        if not self._is_new_orbit(s, norm):
             return "known"
         if not self.has_new_level(report.energy):
             self.twin_orbits.append(s)
+            self._twin_norms.append(norm)
             return "twin"
         self.entries.append((s, report))
-        self.entries.sort(key=lambda e: e[1].energy)
+        self._entry_norms.append(norm)
+        order = sorted(range(len(self.entries)), key=lambda i: self.entries[i][1].energy)
+        self.entries[:] = [self.entries[i] for i in order]
+        self._entry_norms = [self._entry_norms[i] for i in order]
         n = len(self.entries)
         d = np.zeros((n, n))
         for i in range(n):

@@ -224,6 +224,28 @@ starts = 2
     assert main(["ground", "--config", str(cfg_file), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("reason", [
+    "beta sequence failed to be nonincreasing",
+    "PCG did not converge\n  after 500 iterations",
+])
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, reason):
+    def failing(*args, **kwargs):
+        raise RuntimeError(reason)
+
+    monkeypatch.setattr("nehari.cli.fountain_diagnostics", failing)
+    assert main(["fountain", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err == "numerical failure: " + " ".join(reason.split()) + "\n"
+
+
+def test_fountain_deterministic_artifacts(tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(["fountain", "--out", str(out), "--seed", "5"]) == 0
+    assert (out1 / "run_fountain.csv").read_bytes() == (out2 / "run_fountain.csv").read_bytes()
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err

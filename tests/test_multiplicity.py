@@ -1,7 +1,10 @@
 """Eigenbasis, Fountain diagnostics, orbit distances, deflation."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nehari.grid import DomainSpec, shift
 from nehari.energy import State, e_inner, norm_E
@@ -9,6 +12,8 @@ from nehari.solver import SolveConfig, _descend, find_ground_state, initial_stat
 from nehari.multiplicity import (
     SolutionSet,
     _DeflatedObjective,
+    _pnorm_and_grad,
+    _sphere_ascent,
     deflated_search,
     eigenbasis,
     find_distinct_solutions,
@@ -111,6 +116,123 @@ def test_fountain_b_lower_trend(small_bounded_spec):
     rep = fountain_diagnostics(small_bounded_spec, 12, buffer=8, restarts=8, seed=1)
     tail = rep.b_lower[-4:]
     assert all(b2 >= b1 for b1, b2 in zip(tail, tail[1:]))
+
+
+@lru_cache(maxsize=None)
+def _default_box_tails():
+    """Coordinate rows of the 40-pair eigenbasis of the default 256-node box."""
+    spec = make_spec(DomainSpec.dirichlet_box(1.0, 256))
+    basis = eigenbasis(spec, 40)
+    all_u = np.stack([s.u.values.ravel() for _, s in basis])
+    all_v = np.stack([s.v.values.ravel() for _, s in basis])
+    return all_u, all_v, spec.p_max, spec.domain.cell_volume
+
+
+def _reference_ascent(x0, Bu, Bv, p, vol):
+    """One start climbing alone, one trial and one gradient at a time."""
+    def value_and_grad(x):
+        total, grad = 0.0, np.zeros_like(x)
+        for B in (Bu, Bv):
+            w = x @ B
+            mp = float(np.sum(np.abs(w) ** p)) * vol
+            if mp > 0.0:
+                total += mp ** (1.0 / p)
+                grad += mp ** (1.0 / p - 1.0) * (B @ (np.abs(w) ** (p - 1.0) * np.sign(w))) * vol
+        return total, grad
+
+    x = x0 / np.linalg.norm(x0)
+    val, g = value_and_grad(x)
+    step = 1.0
+    for _ in range(200):
+        while step > 1e-12:
+            y = x + step * g
+            y /= np.linalg.norm(y)
+            val_y, g_y = value_and_grad(y)
+            if val_y > val:
+                break
+            step *= 0.5
+        else:
+            break
+        converged = val_y - val < 1e-12 * (1.0 + val)
+        x, val, g = y, val_y, g_y
+        if converged:
+            break
+        step *= 1.5
+    return val
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 30), rows=st.integers(1, 6))
+def test_batched_ascent_rows_match_single_starts(seed, k, rows):
+    """Each row of a batched ascent climbs as that start does on its own."""
+    all_u, all_v, p, vol = _default_box_tails()
+    Bu, Bv = all_u[k - 1:], all_v[k - 1:]
+    X0 = np.random.default_rng(seed).standard_normal((rows, len(Bu)))
+    X, vals = _sphere_ascent(X0, Bu, Bv, p, vol)
+    assert X.shape == X0.shape
+    assert np.allclose(np.linalg.norm(X, axis=1), 1.0, rtol=0.0, atol=1e-14)
+    for i in range(rows):
+        _, alone = _sphere_ascent(X0[i:i + 1], Bu, Bv, p, vol)
+        assert abs(vals[i] - alone[0]) <= 1e-12 * abs(alone[0])
+        reference = _reference_ascent(X0[i], Bu, Bv, p, vol)
+        assert abs(vals[i] - reference) <= 1e-12 * reference
+
+
+def test_pnorm_gradient_rows_match_central_differences():
+    all_u, all_v, p, vol = _default_box_tails()
+    Bu, Bv = all_u[4:], all_v[4:]
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((3, len(Bu)))
+    # a row that lives in the u-block alone: the v-block term vanishes there
+    X[2] = np.where(np.any(Bu != 0.0, axis=1), X[2], 0.0)
+    _, grad = _pnorm_and_grad(X, Bu, Bv, p, vol)
+    G = grad(np.arange(len(X)))
+    assert np.all(np.isfinite(G))
+    h = 1e-6
+    for j in range(X.shape[1]):
+        e = np.zeros(X.shape[1])
+        e[j] = h
+        plus, _ = _pnorm_and_grad(X + e, Bu, Bv, p, vol)
+        minus, _ = _pnorm_and_grad(X - e, Bu, Bv, p, vol)
+        assert np.allclose((plus - minus) / (2.0 * h), G[:, j], rtol=0.0,
+                           atol=1e-7 * np.max(np.abs(G)))
+    # the gradient of a subset of rows is those rows of the full gradient
+    assert np.allclose(grad(np.array([2, 0])), G[[2, 0]], rtol=1e-14,
+                       atol=1e-15 * np.max(np.abs(G)))
+
+
+def test_fountain_beta_golden(bounded_spec):
+    """beta_1 and beta_30 of the default box at seed 0, as first recorded.
+
+    The radius check draws its directions after the ascents, and its values
+    at k = 2 and 4 come from random directions, so they also pin how much
+    of the random stream the ascents consume.
+    """
+    rep = fountain_diagnostics(bounded_spec, 30, seed=0)
+    golden = [(rep.beta[0], 0.4786737085280719), (rep.beta[-1], 0.03997081480666586),
+              (rep.a_check[1][1], -880.2067604781896),
+              (rep.a_check[3][1], -1384.801021782949)]
+    for got, want in golden:
+        assert abs(got - want) <= 1e-12 * abs(want)
+    assert (rep.a_check[1][0], rep.a_check[3][0]) == (32.0, 64.0)
+
+
+def test_solution_set_computes_each_norm_once(monkeypatch, small_bounded_spec):
+    """Stored norms are reused: one norm_E per add and per orbit test."""
+    spec = small_bounded_spec
+    rep, s = find_ground_state(spec, SolveConfig(seed=4, starts=3))
+    sols = SolutionSet(spec)
+    counts = {}
+    count_calls(monkeypatch, counts, "norm_E")
+    assert sols.add(s, rep) == "added"
+    assert sols.add(State(s.v, s.u), rep) == "twin"
+    assert sols.add(s.scaled(-1.0), rep) == "known"
+    assert not sols.is_new_orbit(s)
+    assert sols.is_new_orbit(s.scaled(0.5))
+    assert counts["norm_E"] == 5
+    monkeypatch.undo()
+    assert sols._entry_norms == [norm_E(spec, s)]
+    assert sols._twin_norms == [norm_E(spec, State(s.v, s.u))]
 
 
 def test_deflated_search_empty_equals_ground(small_bounded_spec):
