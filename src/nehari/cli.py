@@ -396,12 +396,10 @@ def _cmd_decay(cfg, spec, out: Path) -> int:
     _write(out / f"{cfg.label}_report.txt", report.format_text())
     _write(out / f"{cfg.label}_decay.txt", fit.format_text())
 
-    d, amp = fit.distances, fit.amplitudes
-    order = np.argsort(d, kind="stable")
-    lines = ["distance,amplitude"]
-    for i in order:
-        lines.append(f"{d[i]:.17g},{amp[i]:.17g}")
-    _write(out / f"{cfg.label}_decay.csv", "\n".join(lines) + "\n")
+    order = np.argsort(fit.distances, kind="stable")
+    pairs = np.column_stack((fit.distances[order], fit.amplitudes[order]))
+    _write(out / f"{cfg.label}_decay.csv", "distance,amplitude\n"
+           + "%.17g,%.17g\n" * len(order) % tuple(pairs.ravel().tolist()))
     print(f"decay fit: alpha = {fit.alpha:.6g}, r^2 = {fit.r_squared:.6g} "
           f"({fit.n_samples} samples)")
     return 0

@@ -15,15 +15,15 @@ Dirichlet energy uses forward differences (including the boundary
 interval on Dirichlet domains).  This pairing is summation-by-parts
 exact:  ``<-lap(f), f>_h  ==  sum |D+ f|^2 h^N``  holds up to roundoff,
 which the variational solver relies on.  All quadrature is the rectangle
-rule with weight ``h^N``; the scalar reductions behind the norms and
-inner products accumulate in a canonical (sorted) order, so they are
+rule with weight ``h^N``; the scalar reductions behind the public norms
+and inner products accumulate in a canonical (sorted) order, so they are
 bitwise invariant under any permutation of the nodes, in particular
 under periodic shifts.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,9 +203,18 @@ def _csum(arr: np.ndarray) -> float:
 
 
 def _neighbor_sum(a: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    """Sum of the two axis neighbors, with zero ghosts on Dirichlet domains."""
+    """Sum of the two axis neighbors, with zero ghosts on Dirichlet domains.
+
+    On tori the lower neighbor comes first, as in ``roll(a, 1) + roll(a, -1)``,
+    with the two wrap edges written separately instead of rolled copies.
+    """
     if periodic:
-        return np.roll(a, 1, axis=axis) + np.roll(a, -1, axis=axis)
+        out = np.empty_like(a)
+        b, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
+        o[1:-1] = b[:-2] + b[2:]
+        o[0] = b[-1] + b[1]
+        o[-1] = b[-2] + b[0]
+        return out
     out = np.zeros_like(a)
     src_lo = [slice(None)] * a.ndim
     src_hi = [slice(None)] * a.ndim
@@ -261,7 +270,11 @@ def schrodinger_apply(f: GridFunction, V) -> GridFunction:
 def _forward_difference(a: np.ndarray, axis: int, domain: DomainSpec) -> np.ndarray:
     """``D+ a`` along one axis, with the boundary intervals on Dirichlet domains."""
     if domain.periodic:
-        return np.roll(a, -1, axis=axis) - a
+        out = np.empty_like(a)
+        b, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
+        o[:-1] = b[1:] - b[:-1]
+        o[-1] = b[0] - b[-1]
+        return out
     return np.diff(a, axis=axis, prepend=0.0, append=0.0)
 
 
@@ -351,13 +364,28 @@ def _ball_offsets(domain: DomainSpec, r: float) -> list[tuple[int, ...]]:
     return [tuple(int(m[idx]) for m in mesh) for idx in zip(*np.nonzero(mask))]
 
 
+def _add_rolled(out: np.ndarray, a: np.ndarray, offset) -> None:
+    """``out += np.roll(a, -offset)``: add ``a`` read at ``index + offset``,
+    wrapping periodically, block by block instead of through a rolled copy."""
+    pairs = []
+    for o, n in zip(offset, a.shape):
+        k = o % n
+        pairs.append([(slice(None), slice(None))] if k == 0 else
+                     [(slice(0, n - k), slice(k, n)), (slice(n - k, n), slice(0, k))])
+    for blocks in itertools.product(*pairs):
+        out[tuple(dst for dst, _ in blocks)] += a[tuple(src for _, src in blocks)]
+
+
 def local_mass_sup(u: GridFunction, v: GridFunction, r: float) -> tuple[float, tuple[int, ...]]:
     """Largest mass ``sum_{|x-y|<=r} (u^2+v^2) h^N`` over ball centers ``y``.
 
     Ball membership is by node centers in the periodic Euclidean distance.
     Returns the maximum and an attaining center (node multi-index, first in
-    row-major order on ties).  Implemented as a sum of circular shifts so the
-    result field is exactly equivariant under grid translations.
+    row-major order on ties).  The ball is scanned separably: for each offset
+    along the leading axes its row along the last axis is a symmetric interval
+    of half-width ``k``, whose sums ``H_k = H_{k-1} + w(.+k) + w(.-k)`` grow in
+    place, and each row adds one shifted ``H_k``.  Every node sums in the same
+    order, so the result field is exactly equivariant under grid translations.
     """
     d = _require_same_domain(u, v)
     if not d.periodic:
@@ -367,10 +395,20 @@ def local_mass_sup(u: GridFunction, v: GridFunction, r: float) -> tuple[float, t
     if r > min(d.lengths) / 2:
         raise ValueError("radius exceeds half the torus period")
     w = u.values * u.values + v.values * v.values
-    mass = np.zeros_like(w)
-    axes = tuple(range(d.dimension))
+    half_width: dict[tuple[int, ...], int] = {}
     for off in _ball_offsets(d, r):
-        mass += np.roll(w, tuple(-o for o in off), axis=axes)
+        half_width[off[:-1]] = max(half_width.get(off[:-1], 0), abs(off[-1]))
+    rows = sorted(half_width.items(), key=lambda row: row[1])
+    mass = np.zeros_like(w)
+    interval = w.copy()
+    no_lead = (0,) * (d.dimension - 1)
+    k = 0
+    for lead, k_row in rows:
+        while k < k_row:
+            k += 1
+            _add_rolled(interval, w, no_lead + (k,))
+            _add_rolled(interval, w, no_lead + (-k,))
+        _add_rolled(mass, interval, lead + (0,))
     # ties (e.g. a single spike with r >= h) resolve toward the densest node,
     # then first in row-major order; both rules are shift-equivariant
     peak = mass == mass.max()
@@ -438,14 +476,26 @@ def load_grid_function(path) -> GridFunction:
 
 
 def grid_function_to_csv(f: GridFunction) -> str:
-    """CSV export: one row per node with index coordinates, positions and value."""
+    """CSV export: one row per node with index coordinates, positions and value.
+
+    Written one leading-axis slab at a time.  The index and position strings
+    of every axis are formatted once into a row template for the slab's
+    trailing axes, which leaves only the leading index, its position and the
+    values to fill in: two ``%``-formats per slab (``%.17g`` of a float is
+    ``format(x, ".17g")``).
+    """
     d = f.domain
-    out = io.StringIO()
-    idx_cols = [f"i{a + 1}" for a in range(d.dimension)]
-    pos_cols = [f"x{a + 1}" for a in range(d.dimension)]
-    out.write(",".join(idx_cols + pos_cols + ["value"]) + "\n")
-    axes = [d.axis_coordinates(a) for a in range(d.dimension)]
-    for idx in np.ndindex(d.shape):
-        pos = [format(axes[a][idx[a]], ".17g") for a in range(d.dimension)]
-        out.write(",".join([str(i) for i in idx] + pos + [format(f.values[idx], ".17g")]) + "\n")
-    return out.getvalue()
+    dim = d.dimension
+    idx = [[str(i) for i in range(n)] for n in d.shape]
+    pos = [[format(x, ".17g") for x in d.axis_coordinates(a)] for a in range(dim)]
+    header = [f"i{a + 1}" for a in range(dim)] + [f"x{a + 1}" for a in range(dim)]
+    rows = []
+    for t in np.ndindex(d.shape[1:]):
+        ii = ["%(i)s"] + [idx[a][k] for a, k in enumerate(t, start=1)]
+        xx = ["%(x)s"] + [pos[a][k] for a, k in enumerate(t, start=1)]
+        rows.append(",".join(ii + xx + ["%%.17g\n"]))
+    template = "".join(rows)
+    parts = [",".join(header + ["value"]) + "\n"]
+    for i, slab in enumerate(f.values.reshape(d.shape[0], -1)):
+        parts.append(template % {"i": idx[0][i], "x": pos[0][i]} % tuple(slab.tolist()))
+    return "".join(parts)

@@ -41,6 +41,7 @@ from .solver import (
     SolveReport,
     _descend,
     _EnergyObjective,
+    _pair_inner,
     find_ground_state,
     initial_states,
 )
@@ -334,17 +335,12 @@ def _orbit_realizer(spec: ProblemSpec, s1: State, s2: State):
     """
     dom = spec.domain
     vol = dom.cell_volume
-
-    def pair_inner(a: State, b: State) -> float:
-        return (float(np.sum(a.u.values * b.u.values))
-                + float(np.sum(a.v.values * b.v.values))) * vol
-
     q1 = _apply_block(spec, s1)
     q2 = _apply_block(spec, s2)
-    n1 = pair_inner(q1, s1)
-    n2 = pair_inner(q2, s2)
+    n1 = _pair_inner(q1, s1)
+    n2 = _pair_inner(q2, s2)
     if not dom.periodic:
-        ip = pair_inner(q2, s1)
+        ip = _pair_inner(q2, s1)
         sign = 1.0 if ip >= 0 else -1.0
         dist_sq = max(n1 + n2 - 2.0 * abs(ip), 0.0)
         return float(np.sqrt(dist_sq)), sign, None

@@ -181,9 +181,7 @@ k_max = 8
     assert np.all(np.diff(beta) <= 0)
 
 
-def test_decay_command(tmp_path):
-    cfg_file = tmp_path / "d.cfg"
-    cfg_file.write_text("""
+TORUS_1D = """
 [problem]
 kind = periodic_torus
 lengths = 24
@@ -193,7 +191,12 @@ resolution = 192
 starts = 2
 seed = 3
 max_iters = 800
-""")
+"""
+
+
+def test_decay_command(tmp_path):
+    cfg_file = tmp_path / "d.cfg"
+    cfg_file.write_text(TORUS_1D)
     out = tmp_path / "out"
     assert main(["decay", "--config", str(cfg_file), "--out", str(out),
                  "--label", "d"]) == 0
@@ -206,6 +209,23 @@ max_iters = 800
     bad = tmp_path / "bad.cfg"
     bad.write_text(BOUNDED_SMALL)
     assert main(["decay", "--config", str(bad), "--out", str(out)]) == 2
+
+
+def test_decay_deterministic_artifacts(tmp_path):
+    """Two decay runs write the same bytes; the decay samples are sorted by distance."""
+    cfg_file = tmp_path / "d.cfg"
+    cfg_file.write_text(TORUS_1D)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(["decay", "--config", str(cfg_file), "--out", str(out),
+                     "--label", "d"]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert {"d_decay.csv", "d_decay.txt", "d_report.txt", "d_u.grid", "d_u.csv"} <= set(names)
+    for name in names:
+        assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+    rows = np.loadtxt(out1 / "d_decay.csv", delimiter=",", skiprows=1)
+    assert np.all(np.diff(rows[:, 0]) >= 0.0)
 
 
 def test_stall_exit_code(tmp_path):

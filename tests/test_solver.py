@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nehari import grid
 from nehari.grid import DomainSpec, GridFunction, shift
 from nehari.energy import State, energy, fibering_project, nehari_xi, norm_E
 from nehari.solver import (
@@ -259,6 +260,24 @@ def test_m_map_guards(bounded_spec):
         m_map(bounded_spec, s.scaled(3.0 / norm_E(bounded_spec, s)))
     with pytest.raises(ValueError):
         m_inverse(bounded_spec, s)   # not on the manifold
+
+
+def test_descent_makes_no_sorted_reduction(monkeypatch, bounded_spec):
+    """The descent's residual and slopes reduce by plain sums: a default
+    ground-state solve on the box never calls the sorted ``_csum``."""
+    calls = []
+    sorted_sum = grid._csum
+
+    def counted(arr):
+        calls.append(arr.size)
+        return sorted_sum(arr)
+
+    monkeypatch.setattr(grid, "_csum", counted)
+    rep, _ = find_ground_state(bounded_spec, SolveConfig())
+    assert rep.status == "converged"
+    assert calls == []
+    grid.l2_norm_sq(grid.GridFunction.constant(bounded_spec.domain, 1.0))
+    assert len(calls) == 1   # the public norms still take the sorted route
 
 
 def test_one_moment_pass_per_descent_point(monkeypatch, bounded_spec):
