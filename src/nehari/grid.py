@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,13 +106,14 @@ class DomainSpec:
     def periodic(self) -> bool:
         return self.kind == "periodic_torus"
 
-    @property
+    # computed once per domain: the kernels read them on every call
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         if self.periodic:
             return tuple(p / n for p, n in zip(self.lengths, self.shape))
         return tuple(l / (n + 1) for l, n in zip(self.lengths, self.shape))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -208,32 +210,47 @@ def _neighbor_sum(a: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
     On tori the lower neighbor comes first, as in ``roll(a, 1) + roll(a, -1)``,
     with the two wrap edges written separately instead of rolled copies.
     """
+    def at(index):
+        key = [slice(None)] * a.ndim
+        key[axis] = index
+        return tuple(key)
+
     if periodic:
         out = np.empty_like(a)
-        b, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
-        o[1:-1] = b[:-2] + b[2:]
-        o[0] = b[-1] + b[1]
-        o[-1] = b[-2] + b[0]
+        np.add(a[at(slice(None, -2))], a[at(slice(2, None))], out=out[at(slice(1, -1))])
+        np.add(a[at(slice(-1, None))], a[at(slice(1, 2))], out=out[at(slice(0, 1))])
+        np.add(a[at(slice(-2, -1))], a[at(slice(0, 1))], out=out[at(slice(-1, None))])
         return out
     out = np.zeros_like(a)
-    src_lo = [slice(None)] * a.ndim
-    src_hi = [slice(None)] * a.ndim
-    dst_lo = [slice(None)] * a.ndim
-    dst_hi = [slice(None)] * a.ndim
-    src_lo[axis] = slice(1, None)
-    dst_lo[axis] = slice(None, -1)
-    src_hi[axis] = slice(None, -1)
-    dst_hi[axis] = slice(1, None)
-    out[tuple(dst_lo)] += a[tuple(src_lo)]
-    out[tuple(dst_hi)] += a[tuple(src_hi)]
+    out[at(slice(None, -1))] += a[at(slice(1, None))]
+    out[at(slice(1, None))] += a[at(slice(None, -1))]
     return out
 
 
+def _trailing_axes(a: np.ndarray, domain: DomainSpec) -> tuple[int, ...]:
+    """The grid axes of ``a``: its last ``domain.dimension`` axes."""
+    return tuple(range(a.ndim - domain.dimension, a.ndim))
+
+
 def _laplacian_values(a: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    out = np.zeros_like(a)
-    for axis in range(domain.dimension):
-        h2 = domain.spacing[axis] ** 2
-        out += (2.0 * a - _neighbor_sum(a, axis, domain.periodic)) / h2
+    """``-lap_h a`` on the trailing grid axes of ``a`` (leading axes are rows).
+
+    Per axis the neighbour sum is the only new array: ``2 a`` is formed once,
+    and the subtraction, the division by ``h^2`` and the accumulation run in
+    place.  The first term gets ``+ 0.0`` so that signed zeros come out as
+    from a zero-initialized sum.
+    """
+    two_a = 2.0 * a
+    out = None
+    for axis, h in zip(_trailing_axes(a, domain), domain.spacing):
+        term = _neighbor_sum(a, axis, domain.periodic)
+        np.subtract(two_a, term, out=term)
+        term /= h ** 2
+        if out is None:
+            out = term
+            out += 0.0
+        else:
+            out += term
     return out
 
 
@@ -278,13 +295,17 @@ def _forward_difference(a: np.ndarray, axis: int, domain: DomainSpec) -> np.ndar
     return np.diff(a, axis=axis, prepend=0.0, append=0.0)
 
 
-def _gradient_energy(a: np.ndarray, domain: DomainSpec, exact: bool = False) -> float:
-    """``sum |D+ a|^2 h^N`` with the boundary intervals included on Dirichlet domains."""
+def _gradient_energy(a: np.ndarray, domain: DomainSpec, exact: bool = False):
+    """``sum |D+ a|^2 h^N`` with the boundary intervals included on Dirichlet domains.
+
+    Reduces over the trailing grid axes, one value per leading index; the
+    sorted (``exact``) reduction takes a single field.
+    """
     vol = domain.cell_volume
-    reduce = _csum if exact else lambda x: float(np.sum(x))
+    axes = _trailing_axes(a, domain)
+    reduce = _csum if exact else lambda x: np.sum(x, axis=axes)
     total = 0.0
-    for axis in range(domain.dimension):
-        h = domain.spacing[axis]
+    for axis, h in zip(axes, domain.spacing):
         d = _forward_difference(a, axis, domain)
         total += reduce(d * d) * vol / (h * h)
     return total
@@ -380,11 +401,17 @@ def local_mass_sup(u: GridFunction, v: GridFunction, r: float) -> tuple[float, t
     """Largest mass ``sum_{|x-y|<=r} (u^2+v^2) h^N`` over ball centers ``y``.
 
     Ball membership is by node centers in the periodic Euclidean distance.
-    Returns the maximum and an attaining center (node multi-index, first in
-    row-major order on ties).  The ball is scanned separably: for each offset
-    along the leading axes its row along the last axis is a symmetric interval
-    of half-width ``k``, whose sums ``H_k = H_{k-1} + w(.+k) + w(.-k)`` grow in
-    place, and each row adds one shifted ``H_k``.  Every node sums in the same
+    Returns the maximum and an attaining center (node multi-index).  Centers
+    whose computed masses are equal resolve toward the densest node, then
+    first in row-major order.  The rule acts on computed masses: where the
+    ball wraps a whole period every center carries the same mass in exact
+    arithmetic, but the computed masses differ by rounding, so the center
+    reported there follows the summation order, not the tie rule.
+
+    The ball is scanned separably: for each offset along the leading axes
+    its row along the last axis is a symmetric interval of half-width ``k``,
+    whose sums ``H_k = H_{k-1} + w(.+k) + w(.-k)`` grow in place, and each
+    row adds one shifted ``H_k``.  Every node sums in the same
     order, so the result field is exactly equivariant under grid translations.
     """
     d = _require_same_domain(u, v)

@@ -19,6 +19,7 @@ are additionally verified numerically on a log-spaced sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -274,6 +275,13 @@ class ProblemSpec:
     @property
     def p_max(self) -> float:
         return max(self.f1.p_max, self.f2.p_max)
+
+    @cached_property
+    def potential_pair(self) -> np.ndarray:
+        """``(V1, V2)`` stacked on a leading component axis, read-only."""
+        pair = np.stack((self.V1.values, self.V2.values))
+        pair.setflags(write=False)
+        return pair
 
     def effective_delta(self) -> float:
         v1, v2 = self.V1.values, self.V2.values

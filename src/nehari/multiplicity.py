@@ -26,16 +26,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg import eigh
 
-from .grid import DomainSpec, shift, _schrodinger_values
+from .grid import DomainSpec, _schrodinger_values, _trailing_axes
 from .model import ProblemSpec
-from .energy import (
-    FiberingReport,
-    State,
-    _ray_data,
-    e_inner,
-    grad_l2,
-    norm_E,
-)
+from .energy import State, _pair_kernel, _ray_data, grad_l2, norm_E
 from .solver import (
     SolveConfig,
     SolveReport,
@@ -285,20 +278,17 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
         for b in beta
     ]
 
-    # rho_k: scan radii over sampled directions of the head span Y_k
+    # rho_k: scan radii over sampled directions of the head span Y_k, all
+    # directions of a level evaluated as the rows of one moment pass
     a_check = []
     for k in range(1, k_max + 1):
-        dirs = [np.eye(k)[j] for j in range(k)]
-        dirs += [rng.standard_normal(k) for _ in range(n_ray_dirs)]
-        rays = []
-        for x in dirs:
-            x = x / np.linalg.norm(x)
-            u = (x @ all_u[:k]).reshape(dom.shape)
-            v = (x @ all_v[:k]).reshape(dom.shape)
-            rays.append(_ray_data(spec, u, v))
+        X = np.vstack([np.eye(k), rng.standard_normal((n_ray_dirs, k))])
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        rays = _ray_data(spec, (X @ all_u[:k]).reshape((-1,) + dom.shape),
+                         (X @ all_v[:k]).reshape((-1,) + dom.shape))
         rho = 1.0
         while True:
-            amax = max(rd.phi(rho) for rd in rays)
+            amax = float(np.max(rays.phi(rho)))
             if amax <= 0.0:
                 break
             rho *= 2.0
@@ -319,47 +309,47 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
 # ---------------------------------------------------------------------------
 
 
-def _apply_block(spec: ProblemSpec, s: State) -> State:
-    """Block operator ``(-lap+V1, -lap+V2)`` applied to a state."""
+def _apply_block(spec: ProblemSpec, S: np.ndarray) -> np.ndarray:
+    """Block operator ``(-lap+V1, -lap+V2)`` applied to the rows of a pair array."""
     dom = spec.domain
-    return State.from_values(dom, _schrodinger_values(s.u.values, spec.V1.values, dom),
-                             _schrodinger_values(s.v.values, spec.V2.values, dom))
+    return _pair_kernel(spec, S, lambda u, v, V, nl: _schrodinger_values(u, V, dom))
 
 
-def _orbit_realizer(spec: ProblemSpec, s1: State, s2: State):
-    """Distance, realizing sign and cell shift of the orbit of ``s2``.
+def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, s2: np.ndarray):
+    """Distance, realizing sign and cell shift of the orbit of ``s2`` from
+    every row of ``S1``, plus the realized inner product.
 
-    All three quadratic terms of ``||s1 -+ tau_z s2||^2`` go through the same
-    operator route and accumulate in one fixed order, so quotiented copies
-    (pure sign flips) give exactly zero.
+    ``S1`` is a pair array ``(rows, 2, *shape)`` and ``s2`` a one-row pair
+    array.  All three quadratic terms of ``||s1 -+ tau_z s2||^2``
+    go through the same operator route and accumulate in one fixed order,
+    so quotiented copies (pure sign flips) give exactly zero.  Returns per
+    row the distance, the sign, the cell shift (``None`` on bounded domains)
+    and ``|<(-lap+V) tau_z s2, s1>|``, the block inner product of ``s1``
+    with the realized copy of ``s2``.
     """
     dom = spec.domain
-    vol = dom.cell_volume
-    q1 = _apply_block(spec, s1)
+    q1 = _apply_block(spec, S1)
     q2 = _apply_block(spec, s2)
-    n1 = _pair_inner(q1, s1)
-    n2 = _pair_inner(q2, s2)
+    n1 = _pair_inner(dom, q1, S1)
+    n2 = _pair_inner(dom, q2, s2)
     if not dom.periodic:
-        ip = _pair_inner(q2, s1)
-        sign = 1.0 if ip >= 0 else -1.0
-        dist_sq = max(n1 + n2 - 2.0 * abs(ip), 0.0)
-        return float(np.sqrt(dist_sq)), sign, None
-
-    ppc = dom.points_per_cell
-    periods = tuple(int(p) for p in dom.lengths)
-    best_ip, best_z = 0.0, tuple([0] * dom.dimension)
-    axes = tuple(range(dom.dimension))
-    for z in np.ndindex(periods):
-        nodes = tuple(zi * m for zi, m in zip(z, ppc))
-        ip = (
-            float(np.sum(np.roll(q2.u.values, nodes, axis=axes) * s1.u.values))
-            + float(np.sum(np.roll(q2.v.values, nodes, axis=axes) * s1.v.values))
-        ) * vol
-        if abs(ip) > abs(best_ip):
-            best_ip, best_z = ip, z
-    sign = 1.0 if best_ip >= 0 else -1.0
-    dist_sq = max(n1 + n2 - 2.0 * abs(best_ip), 0.0)
-    return float(np.sqrt(dist_sq)), sign, best_z
+        best_ip = _pair_inner(dom, q2, S1)
+        best_z = None
+    else:
+        ppc = dom.points_per_cell
+        periods = tuple(int(p) for p in dom.lengths)
+        best_ip = np.zeros(len(S1))
+        best_z = np.zeros((len(S1), dom.dimension), dtype=int)
+        axes = _trailing_axes(s2, dom)
+        for z in np.ndindex(periods):
+            nodes = tuple(zi * m for zi, m in zip(z, ppc))
+            ip = _pair_inner(dom, np.roll(q2, nodes, axis=axes), S1)
+            better = np.abs(ip) > np.abs(best_ip)
+            best_ip = np.where(better, ip, best_ip)
+            best_z[better] = z
+    sign = np.where(best_ip >= 0, 1.0, -1.0)
+    dist = np.sqrt(np.maximum(n1 + n2 - 2.0 * np.abs(best_ip), 0.0))
+    return dist, sign, best_z, np.abs(best_ip)
 
 
 def orbit_distance(spec: ProblemSpec, s1: State, s2: State) -> float:
@@ -371,8 +361,8 @@ def orbit_distance(spec: ProblemSpec, s1: State, s2: State) -> float:
     """
     if s1.domain != s2.domain:
         raise ValueError("states live on different domains")
-    dist, _, _ = _orbit_realizer(spec, s1, s2)
-    return dist
+    dist, _, _, _ = _orbit_realizer(spec, s1.pair()[None], s2.pair()[None])
+    return float(dist[0])
 
 
 @dataclass
@@ -485,21 +475,22 @@ def _mirror_axes(spec: ProblemSpec) -> list[int]:
     return axes
 
 
-def _swap_sym_filter(s: State) -> State:
-    m = 0.5 * (s.u.values + s.v.values)
-    return State.from_values(s.domain, m, m.copy())
+# Direction filters act on pair arrays ``(rows, 2, *shape)``.
 
 
-def _swap_anti_filter(s: State) -> State:
-    m = 0.5 * (s.u.values - s.v.values)
-    return State.from_values(s.domain, m, -m)
+def _swap_sym_filter(D: np.ndarray) -> np.ndarray:
+    m = 0.5 * (D[:, 0] + D[:, 1])
+    return np.stack((m, m), axis=1)
+
+
+def _swap_anti_filter(D: np.ndarray) -> np.ndarray:
+    m = 0.5 * (D[:, 0] - D[:, 1])
+    return np.stack((m, -m), axis=1)
 
 
 def _odd_reflection_filter(axis: int):
-    def filt(s: State) -> State:
-        u = 0.5 * (s.u.values - np.flip(s.u.values, axis=axis))
-        v = 0.5 * (s.v.values - np.flip(s.v.values, axis=axis))
-        return State.from_values(s.domain, u, v)
+    def filt(D: np.ndarray) -> np.ndarray:
+        return 0.5 * (D - np.flip(D, axis=2 + axis))
 
     return filt
 
@@ -517,65 +508,68 @@ def _symmetry_filters(spec: ProblemSpec) -> list:
 class _DeflatedObjective:
     """Energy times shifted deflation factors centered at known orbits.
 
-    The orbit realizers and factors of a point are computed when its value
-    is taken and reused by ``grad`` and ``radial_derivative`` of the same
-    point, so each known orbit is realized once per point.
+    The orbit realizers of a point are computed with its value and kept in
+    its per-row data (distance, sign, cell shift and realized inner product
+    for each known orbit), where ``grad`` and ``radial_derivative`` read
+    them, so each known orbit is realized once per point.
     """
 
     def __init__(self, spec: ProblemSpec, known: list[State], sigma: float = _DEFLATION_SIGMA):
         self.spec = spec
-        self.known = known
+        self.known = [sk.pair()[None] for sk in known]
         self.sigma = sigma
-        self._point = None   # (state, dists, realizers, factors) last evaluated
 
-    def _factors(self, s: State):
-        if self._point is None or self._point[0] is not s:
-            dists, realizers = [], []
-            for sk in self.known:
-                dist, sign, z = _orbit_realizer(self.spec, s, sk)
-                dists.append(max(dist, 1e-150))
-                realizers.append((sign, z, sk))
-            factors = [1.0 + self.sigma / d ** 2 for d in dists]
-            self._point = (s, dists, realizers, factors)
-        return self._point[1:]
+    def value(self, S: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, dict]:
+        realized = [_orbit_realizer(self.spec, S, sk) for sk in self.known]
+        dist = np.stack([np.maximum(d, 1e-150) for d, _, _, _ in realized], axis=1)
+        extra = {
+            "dist": dist,
+            "sign": np.stack([sign for _, sign, _, _ in realized], axis=1),
+            "ip": np.stack([ip for _, _, _, ip in realized], axis=1),
+            "factor": 1.0 + self.sigma / dist ** 2,
+        }
+        if self.spec.domain.periodic:
+            extra["shift"] = np.stack([z for _, _, z, _ in realized], axis=1)
+        return energy * self._product(extra["factor"]), extra
 
-    def value(self, s: State, fib: FiberingReport) -> float:
-        _, _, factors = self._factors(s)
-        return fib.phi_at_t * float(np.prod(factors))
+    @staticmethod
+    def _product(factors: np.ndarray) -> np.ndarray:
+        pi = factors[:, 0]
+        for k in range(1, factors.shape[1]):
+            pi = pi * factors[:, k]
+        return pi
 
-    def grad(self, s: State, fib: FiberingReport) -> State:
+    def _weights(self, pts):
+        """``pi`` and ``J (pi / f_k) (-sigma / d_k^4)`` for every row and known orbit."""
+        factors = pts.extra["factor"]
+        pi = self._product(factors)
+        weights = pts.energy[:, None] * (pi[:, None] / factors) \
+            * (-self.sigma / pts.extra["dist"] ** 4)
+        return pi, weights
+
+    def grad(self, pts) -> np.ndarray:
         dom = self.spec.domain
-        dists, realizers, factors = self._factors(s)
-        pi = float(np.prod(factors))
-        J = fib.phi_at_t
-        g = grad_l2(self.spec, s)
-        gu = pi * g.u.values
-        gv = pi * g.v.values
-        for dk, (sign, z, sk), fk in zip(dists, realizers, factors):
-            w = self._realized(sign, z, sk)
-            coef = J * (pi / fk) * (-self.sigma / dk ** 4)
-            diff = State.from_values(dom, s.u.values - w.u.values, s.v.values - w.v.values)
-            a_diff = _apply_block(self.spec, diff)
-            gu += coef * 2.0 * a_diff.u.values
-            gv += coef * 2.0 * a_diff.v.values
-        return State.from_values(dom, gu, gv)
+        pi, weights = self._weights(pts)
+        rows = (-1,) + (1,) * (pts.S.ndim - 1)
+        G = grad_l2(self.spec, pts.S)
+        G *= pi.reshape(rows)
+        for k, sk in enumerate(self.known):
+            sign = pts.extra["sign"][:, k].reshape(rows)
+            W = sk if not dom.periodic else np.stack([
+                np.roll(sk[0], tuple(zi * m for zi, m in zip(z, dom.points_per_cell)),
+                        axis=_trailing_axes(sk[0], dom))
+                for z in pts.extra["shift"][:, k]])
+            A = _apply_block(self.spec, pts.S - sign * W)
+            G += (weights[:, k] * 2.0).reshape(rows) * A
+        return G
 
-    def radial_derivative(self, s: State, fib: FiberingReport) -> float:
-        dists, realizers, factors = self._factors(s)
-        pi = float(np.prod(factors))
-        J = fib.phi_at_t
-        total = pi * fib.moments.xi()
-        nsq = fib.moments.norm_sq
-        for dk, (sign, z, sk), fk in zip(dists, realizers, factors):
-            w = self._realized(sign, z, sk)
-            ip = e_inner(self.spec, s, w)
-            total += J * (pi / fk) * (-self.sigma / dk ** 4) * 2.0 * (nsq - ip)
+    def radial_derivative(self, pts) -> np.ndarray:
+        pi, weights = self._weights(pts)
+        total = pi * pts.moments.xi()
+        nsq = pts.moments.norm_sq
+        for k in range(len(self.known)):
+            total = total + weights[:, k] * 2.0 * (nsq - pts.extra["ip"][:, k])
         return total
-
-    def _realized(self, sign, z, sk: State) -> State:
-        if z is None:
-            return sk.scaled(sign)
-        return State(shift(sk.u, z), shift(sk.v, z)).scaled(sign)
 
 
 def deflated_search(spec: ProblemSpec, config: SolveConfig,
@@ -592,31 +586,37 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
     unrestricted polishing escapes it.  When the problem carries an exact
     discrete symmetry (swap of the components, mirror reflection) the
     search therefore adds subspace-restricted starts, whose limits are
-    honest full-residual critical points.
+    honest full-residual critical points.  All starts run as the rows of
+    one batch: first the deflated descent, then the polish.
     """
     if len(known) == 0:
         return find_ground_state(spec, config)
 
     objective = _DeflatedObjective(spec, known.deflation_states())
     deflate_cfg = replace(config, grad_tol=max(config.grad_tol, 1e-6), recenter_every=0)
-    inits = initial_states(spec, config)
-    runs = [(filt(inits[0]), filt) for filt in _symmetry_filters(spec)]
-    runs += [(init, None) for init in inits]
+    starts = np.stack([s.pair() for s in initial_states(spec, config)])
+    filters = _symmetry_filters(spec)
+    inits = np.concatenate([filt(starts[:1]) for filt in filters] + [starts])
+    run_filters = filters + [None] * len(starts)
+    runs = np.flatnonzero(np.any(inits.reshape(len(inits), -1), axis=1))
+    if runs.size < len(inits):
+        inits = inits[runs]
+    run_filters = [run_filters[i] for i in runs]
+    names = runs.tolist()
 
+    _, rough = _descend(spec, deflate_cfg, inits, objective, names, run_filters)
+    reports, polished = _descend(spec, config, rough, _EnergyObjective(spec), names,
+                                 run_filters)
     candidates = []
     fallback = None
-    for i, (init, filt) in enumerate(runs):
-        if init.is_zero():
-            continue
-        _, rough = _descend(spec, deflate_cfg, init, objective, i, direction_filter=filt)
-        rep, polished = _descend(spec, config, rough, _EnergyObjective(spec), i,
-                                 direction_filter=filt)
+    for rep, pair in zip(reports, polished):
         if rep.status != "converged":
             continue
-        if known.is_new_orbit(polished):
-            candidates.append((rep, polished))
+        s = State.from_pair(spec.domain, pair)
+        if known.is_new_orbit(s):
+            candidates.append((rep, s))
         elif fallback is None:
-            fallback = (rep, polished)
+            fallback = (rep, s)
     if candidates:
         return min(candidates, key=lambda rs: (rs[0].energy, rs[0].start_index))
     if fallback is not None:

@@ -5,7 +5,9 @@ the negative preconditioned gradient and retracts back by the fibering
 projection, which is exactly the unique ray maximizer, so every iterate
 is feasible.  Stopping tests the full gradient (manifold criticality of
 the energy implies free criticality, so a small full gradient is the
-honest certificate).
+honest certificate).  Several starts descend together as the rows of one
+pair array ``(rows, 2, *shape)``, each row on its own steps; states are
+built only on entry and exit.
 
 Periodic helpers: recentering by integer translations (which leave the
 energy invariant), least-squares exponential decay fitting, and the
@@ -21,12 +23,12 @@ import numpy as np
 from .grid import local_mass_sup, shift
 from .model import ProblemSpec
 from .energy import (
-    FiberingReport,
     State,
+    _RayData,
+    _precondition,
     _ray_data,
     fibering_project,
     grad_l2,
-    grad_precond,
     nehari_xi,
     norm_E,
     xi_grad_l2,
@@ -117,31 +119,63 @@ class DecayFit:
         )
 
 
+@dataclass
+class _Points:
+    """Evaluated manifold points, one per row of the pair array ``S``.
+
+    ``energy`` is ``J = phi(t*)`` from the projection, ``value`` the
+    objective's value, and ``extra`` the objective's own per-row data (the
+    deflation realizers), all indexed by row like ``S`` and ``moments``.
+    """
+
+    S: np.ndarray
+    moments: _RayData
+    energy: np.ndarray
+    value: np.ndarray
+    extra: dict
+
+    def take(self, rows) -> "_Points":
+        return _Points(self.S[rows], self.moments.take(rows), self.energy[rows],
+                       self.value[rows], {k: a[rows] for k, a in self.extra.items()})
+
+    @staticmethod
+    def join(parts: list["_Points"]) -> "_Points":
+        """The rows of several point sets, one after the other."""
+        return _Points(
+            np.concatenate([p.S for p in parts]),
+            replace(parts[0].moments, m=np.concatenate([p.moments.m for p in parts])),
+            np.concatenate([p.energy for p in parts]),
+            np.concatenate([p.value for p in parts]),
+            {k: np.concatenate([p.extra[k] for p in parts]) for k in parts[0].extra},
+        )
+
+
 class _EnergyObjective:
     """Plain energy; ray-critical on the manifold, so no radial correction."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
 
-    def value(self, s: State, fib: FiberingReport) -> float:
-        return fib.phi_at_t
+    def value(self, S: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, dict]:
+        return energy, {}
 
-    def grad(self, s: State, fib: FiberingReport) -> State:
-        return grad_l2(self.spec, s)
+    def grad(self, pts: _Points) -> np.ndarray:
+        return grad_l2(self.spec, pts.S)
 
-    def radial_derivative(self, s: State, fib: FiberingReport) -> float:
-        return 0.0
+    def radial_derivative(self, pts: _Points) -> np.ndarray | None:
+        return None
 
 
-def _pair_inner(a: State, b: State) -> float:
-    """L2 inner product of two states by plain sums, the reduction the moments use.
+def _pair_inner(domain, a: np.ndarray, b: np.ndarray):
+    """L2 inner products of pair arrays, row by row, by plain sums: the
+    reduction the moments use.
 
     The descent's residual and slopes need no shift-exact reduction (the
     sorted ``_csum`` behind the public norms is kept for that contract).
     """
-    vol = a.domain.cell_volume
-    return (float(np.sum(a.u.values * b.u.values))
-            + float(np.sum(a.v.values * b.v.values))) * vol
+    prod = a * b
+    sums = np.sum(prod, axis=tuple(range(2, prod.ndim)))
+    return (sums[..., 0] + sums[..., 1]) * domain.cell_volume
 
 
 def _bump_values(domain, center, width):
@@ -186,96 +220,181 @@ def initial_states(spec: ProblemSpec, config: SolveConfig) -> list[State]:
     return states
 
 
-def _descend(spec: ProblemSpec, config: SolveConfig, init: State, objective,
-             start_index: int, direction_filter=None,
-             trace: list | None = None) -> tuple[SolveReport, State]:
+def _evaluate(spec: ProblemSpec, objective, S: np.ndarray) -> _Points:
+    """Project the rows of ``S`` onto the manifold and evaluate the objective there."""
+    fib, on = fibering_project(spec, S)
+    value, extra = objective.value(on, fib.phi_at_t)
+    return _Points(on, fib.moments, fib.phi_at_t, value, extra)
+
+
+def _require_finite(x: np.ndarray, what: str, iterate: int, starts, rows) -> None:
+    """Raise ``RuntimeError`` naming the start and iterate of a non-finite entry."""
+    if not np.isfinite(x).all():
+        bad = rows[np.flatnonzero(~np.isfinite(x))[0]]
+        raise RuntimeError(f"non-finite {what} at iterate {iterate} of start {starts[bad]}")
+
+
+def _filter_directions(D: np.ndarray, filters: list) -> None:
+    """Apply each row's direction filter in place (``None`` keeps the row)."""
+    for k, filt in enumerate(filters):
+        if filt is not None:
+            D[k:k + 1] = filt(D[k:k + 1])
+
+
+_FUZZ = 8.0 * np.finfo(float).eps
+
+
+def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective,
+             start_index: list[int], filters: list | None = None,
+             trace: list | None = None) -> tuple[list[SolveReport], np.ndarray]:
     """Armijo-backtracking projected descent with fibering retraction.
 
-    ``direction_filter`` optionally projects search directions onto an
-    exactly invariant subspace (symmetry-restricted search); the reported
-    residual always measures the full, unfiltered gradient.  ``trace``
-    collects the accepted objective values.  Each point is evaluated once:
-    the objective reads its value from the report ``fib`` of the projection
-    that produced the point, and the norm and xi-slope come from its moments.
+    Every row of the pair array ``init`` (``(rows, 2, *shape)``, nonzero
+    rows) is a start, named by its entry of ``start_index``, and all rows
+    descend together: each takes the steps it would take alone, with its own
+    step size, backtracks, iteration count, status and stopping test, and
+    leaves the batch when it stops.  ``filters`` optionally gives each row a
+    projection of its search directions onto an exactly invariant subspace
+    (symmetry-restricted search), or ``None``; the reported residual always
+    measures the full, unfiltered gradient.  ``trace`` optionally gives each
+    row a list that collects its accepted objective values.  Each point is
+    evaluated once: the objective reads its value from the projection that
+    produced the point, and the norm and xi-slope come from its moments.
+    A non-finite objective value or residual raises ``RuntimeError``.
+
+    Returns one report per row and the final rows as a pair array.
     """
-    fib, s = fibering_project(spec, init)
-    J = objective.value(s, fib)
-    if trace is not None:
-        trace.append(J)
+    dom = spec.domain
+    n_rows = len(init)
+    filtered = filters is not None and any(f is not None for f in filters)
     c1, back = config.armijo
-    status = "max_iters"
-    iterations = 0
-    residual = float("inf")
-    rho = float("inf")
+    status = ["max_iters"] * n_rows
+    iterations = np.zeros(n_rows, dtype=int)
+    residual = np.full(n_rows, np.inf)
+    rho = np.full(n_rows, np.inf)
+    finished = []   # (rows, their final points) of the rows that have stopped
+    idx = np.arange(n_rows)   # the row of each point still descending
 
+    pts = _evaluate(spec, objective, init)
+    _require_finite(pts.value, "objective value", 0, start_index, idx)
     for it in range(config.max_iters + 1):
-        g = objective.grad(s, fib)
-        gnorm = float(np.sqrt(_pair_inner(g, g)))
-        nrm = float(np.sqrt(fib.moments.norm_sq))
-        rho = min(rho, nrm)
-        residual = gnorm / nrm
-        if residual <= config.grad_tol:
-            status = "converged"
-            break
+        if trace is not None:
+            for row, value in zip(idx, pts.value.tolist()):
+                trace[row].append(value)
+        G = objective.grad(pts)
+        nrm = np.sqrt(pts.moments.norm_sq)
+        rho[idx] = np.minimum(rho[idx], nrm)
+        res = np.sqrt(_pair_inner(dom, G, G)) / nrm
+        _require_finite(res, "residual", it, start_index, idx)
+        residual[idx] = res
+        stop = res <= config.grad_tol
+        for r in idx[stop]:
+            status[r] = "converged"
         if it == config.max_iters:
+            stop[:] = True
+        if stop.all():
+            finished.append((idx, pts.S))
             break
+        if stop.any():
+            finished.append((idx[stop], pts.S[stop]))
+            keep = ~stop
+            idx, pts, G = idx[keep], pts.take(keep), G[keep]
 
-        d = grad_precond(spec, s, g)
-        if direction_filter is not None:
-            d = direction_filter(d)
-        slope = -_pair_inner(g, d)
-        radial = objective.radial_derivative(s, fib)
-        if radial != 0.0:
+        D = _precondition(spec, G)
+        if filtered:
+            _filter_directions(D, [filters[r] for r in idx])
+        slope = -_pair_inner(dom, G, D)
+        radial = objective.radial_derivative(pts)
+        if radial is not None:
             # retraction kills the ray component; correct the slope by the
             # implicit change of the fibering scale along the direction
-            xg = xi_grad_l2(spec, s)
-            xi_d = -_pair_inner(xg, d)
-            slope += -(xi_d / fib.moments.xi_slope()) * radial
-        if slope >= 0.0:
-            status = "stalled"
-            break
+            bent = radial != 0.0
+            if bent.all():
+                xi_d = -_pair_inner(dom, xi_grad_l2(spec, pts.S), D)
+                slope += -(xi_d / pts.moments.xi_slope()) * radial
+            elif bent.any():
+                xi_d = -_pair_inner(dom, xi_grad_l2(spec, pts.S[bent]), D[bent])
+                slope[bent] += -(xi_d / pts.moments.xi_slope()[bent]) * radial[bent]
 
-        alpha = 1.0
-        accepted = False
-        # roundoff slack keeps full steps acceptable once the decrease per
+        # Armijo backtracking per row; the rows still searching try together.
+        # Roundoff slack keeps full steps acceptable once the decrease per
         # step falls below float granularity of the energy
-        fuzz = 8.0 * np.finfo(float).eps * (abs(J) + 1.0)
+        n = len(idx)
+        fuzz = _FUZZ * (np.abs(pts.value) + 1.0)
+        alpha = np.ones(n)
+        searching = np.flatnonzero(slope < 0.0)
+        moved, parts = [], []
         for _ in range(_MAX_BACKTRACKS):
-            trial_u = s.u.values - alpha * d.u.values
-            trial_v = s.v.values - alpha * d.v.values
-            if np.any(trial_u) or np.any(trial_v):
-                trial = State.from_values(spec.domain, trial_u, trial_v)
-                fib_trial, s_trial = fibering_project(spec, trial)
-                J_trial = objective.value(s_trial, fib_trial)
-                if J_trial <= J + c1 * alpha * slope + fuzz:
-                    accepted = True
-                    break
-            alpha *= back
-        if not accepted:
-            status = "stalled"
-            break
+            if not searching.size:
+                break
+            rows = slice(None) if searching.size == n else searching
+            trial = pts.S[rows] - alpha[rows].reshape((-1,) + (1,) * (init.ndim - 1)) * D[rows]
+            nonzero = trial.reshape(len(trial), -1).any(axis=1)
+            ok = np.zeros(searching.size, dtype=bool)
+            if nonzero.any():
+                tried = searching[nonzero]
+                cand = _evaluate(spec, objective, trial if nonzero.all() else trial[nonzero])
+                _require_finite(cand.value, "objective value", it + 1, start_index, idx[tried])
+                better = cand.value <= (pts.value[tried] + c1 * alpha[tried] * slope[tried]
+                                        + fuzz[tried])
+                if better.any():
+                    moved.append(tried[better])
+                    parts.append(cand if better.all() else cand.take(better))
+                ok[nonzero] = better
+            alpha[searching[~ok]] *= back
+            searching = searching[~ok]
 
-        s, fib, J = s_trial, fib_trial, J_trial
-        if trace is not None:
-            trace.append(J)
-        iterations = it + 1
-        if (spec.domain.periodic and config.recenter_every
-                and iterations % config.recenter_every == 0):
-            s, _ = recenter(s)
+        if len(parts) == 1:
+            pos, new = moved[0], parts[0]
+        elif parts:
+            pos = np.concatenate(moved)
+            order = np.argsort(pos)
+            pos, new = pos[order], _Points.join(parts).take(order)
+        else:
+            pos, new = np.zeros(0, dtype=int), None
+        if pos.size < n:
+            stalled = np.ones(n, dtype=bool)
+            stalled[pos] = False
+            for r in idx[stalled]:
+                status[r] = "stalled"
+            if new is None:
+                finished.append((idx, pts.S))
+                break
+            finished.append((idx[stalled], pts.S[stalled]))
+            idx = idx[pos]
+        pts = new
+        iterations[idx] = it + 1
+        if (dom.periodic and config.recenter_every
+                and (it + 1) % config.recenter_every == 0):
+            for k in range(len(idx)):
+                s, _ = recenter(State.from_pair(dom, pts.S[k]))
+                pts.S[k] = s.pair()
+            pts.value, pts.extra = objective.value(pts.S, pts.energy)
 
-    rd = _ray_data(spec, s.u.values, s.v.values)
-    nrm = float(np.sqrt(rd.norm_sq))
-    report = SolveReport(
-        energy=rd.breakdown().total,
-        grad_residual=residual,
-        xi_residual=abs(rd.xi()),
-        iterations=iterations,
-        start_index=start_index,
-        norm=nrm,
-        rho_estimate=min(rho, nrm),
-        status=status,
-    )
-    return report, s
+    if len(finished) == 1:
+        final = finished[0][1]   # every row stopped at once, in order
+    else:
+        final = np.empty((n_rows,) + finished[0][1].shape[1:])
+        for rows, S in finished:
+            final[rows] = S
+    rd = _ray_data(spec, final[:, 0], final[:, 1])
+    norms = np.sqrt(rd.norm_sq)
+    energies = rd.breakdown().total
+    xi = rd.xi()
+    reports = [
+        SolveReport(
+            energy=float(energies[r]),
+            grad_residual=float(residual[r]),
+            xi_residual=float(abs(xi[r])),
+            iterations=int(iterations[r]),
+            start_index=start_index[r],
+            norm=float(norms[r]),
+            rho_estimate=float(min(rho[r], norms[r])),
+            status=status[r],
+        )
+        for r in range(n_rows)
+    ]
+    return reports, final
 
 
 def minimize_on_nehari(spec: ProblemSpec, config: SolveConfig, init: State,
@@ -291,11 +410,20 @@ def minimize_on_nehari(spec: ProblemSpec, config: SolveConfig, init: State,
     """
     if init.is_zero():
         raise ValueError("initial state must be nonzero")
-    return _descend(spec, config, init, _EnergyObjective(spec), start_index, trace=trace)
+    return _descend_one(spec, config, init.pair(), start_index, trace)
 
 
-def _abs_state(s: State) -> State:
-    return State.from_values(s.domain, np.abs(s.u.values), np.abs(s.v.values))
+def _descend_one(spec, config, init: np.ndarray, start_index: int,
+                 trace: list | None = None) -> tuple[SolveReport, State]:
+    """The energy descent of one start (a ``(2, *shape)`` pair): a batch of one row.
+
+    Ground-state starts run one at a time: on the 256^2 torus one start's
+    descent allocates 8.7 MB (tracemalloc), and each start batched with it
+    would add as much again.
+    """
+    (report,), final = _descend(spec, config, init[None], _EnergyObjective(spec),
+                                [start_index], trace=None if trace is None else [trace])
+    return report, State.from_pair(spec.domain, final[0])
 
 
 def _amplitude(s: State) -> float:
@@ -312,11 +440,12 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
     start index.
     """
     bounded = not spec.domain.periodic
+    starts = np.stack([s.pair() for s in initial_states(spec, config)])
+    if bounded:
+        starts = np.abs(starts)
     results: list[tuple[SolveReport, State]] = []
-    for i, init in enumerate(initial_states(spec, config)):
-        if bounded:
-            init = _abs_state(init)
-        rep, s = _descend(spec, config, init, _EnergyObjective(spec), i)
+    for i, init in enumerate(starts):
+        rep, s = _descend_one(spec, config, init, i)
         if bounded and rep.status == "converged":
             rep, s = _ensure_nonnegative(spec, config, rep, s, i)
         results.append((rep, s))
@@ -340,7 +469,7 @@ def _ensure_nonnegative(spec, config, rep, s, start_index, rounds: int = 3):
         amp = _amplitude(s)
         if min(float(s.u.values.min()), float(s.v.values.min())) >= -1e-10 * amp:
             return rep, s
-        rep2, s2 = _descend(spec, config, _abs_state(s), _EnergyObjective(spec), start_index)
+        rep2, s2 = _descend_one(spec, config, np.abs(s.pair()), start_index)
         rep = replace(rep2, iterations=rep.iterations + rep2.iterations)
         s = s2
         if rep.status != "converged":

@@ -75,19 +75,39 @@ def random_state(spec, rng, smooth=False):
     return State.from_values(dom, u, v)
 
 
-def count_calls(monkeypatch, counts, name):
+def count_calls(monkeypatch, counts, name, weight=None):
     """Count calls of ``name`` in every nehari module namespace that binds it.
 
-    Modules come from ``sys.modules``: the package attribute ``nehari.energy``
-    is the ``energy`` function, not the module.
+    With ``weight`` each call adds ``weight(*args, **kwargs)`` instead of one
+    (the rows a batched kernel was given, say).  Modules come from
+    ``sys.modules``: the package attribute ``nehari.energy`` is the
+    ``energy`` function, not the module.
     """
     modules = [sys.modules[f"nehari.{m}"] for m in ("energy", "solver", "multiplicity")]
     target = next(m.__dict__[name] for m in modules if name in m.__dict__)
 
     def counted(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
+        counts[name] = counts.get(name, 0) + (1 if weight is None else weight(*args, **kwargs))
         return target(*args, **kwargs)
 
     for mod in modules:
         if mod.__dict__.get(name) is target:
             monkeypatch.setattr(mod, name, counted)
+
+
+# rows handed to the batched kernels: pair arrays carry them on their leading
+# axis, a state is one row
+def ray_rows(spec, u, v):
+    return u.shape[0] if u.ndim > spec.domain.dimension else 1
+
+
+def projected_rows(spec, s, *args, **kwargs):
+    return len(s) if isinstance(s, np.ndarray) else 1
+
+
+def descended_rows(spec, config, init, *args, **kwargs):
+    return len(init)
+
+
+def realized_rows(spec, S1, s2):
+    return len(S1)

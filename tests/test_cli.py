@@ -1,6 +1,7 @@
 """Config round-trip, command orchestration, exit codes, artifact determinism."""
 
 import filecmp
+import sys
 
 import numpy as np
 import pytest
@@ -257,6 +258,25 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch, reason):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert err == "numerical failure: " + " ".join(reason.split()) + "\n"
+
+
+def test_non_finite_value_exit_code(tmp_path, capsys, monkeypatch):
+    """A non-finite value inside the descent is a numerical failure: exit
+    code 4 and one stderr line that names the start and the iterate."""
+    solver = sys.modules["nehari.solver"]
+    real = solver.grad_l2
+
+    def poisoned(spec, S):
+        G = real(spec, S)
+        G[..., -1] = np.inf
+        return G
+
+    monkeypatch.setattr(solver, "grad_l2", poisoned)
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text(BOUNDED_SMALL)
+    assert main(["ground", "--config", str(cfg_file), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-finite residual at iterate 0 of start 0\n"
 
 
 def test_fountain_deterministic_artifacts(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nehari.grid import DomainSpec, GridFunction, l2_inner, l2_norm_sq, schrodinger_apply
 from nehari.energy import (
     State,
+    _project_ray,
     _ray_data,
     coercive_form,
     e_inner,
@@ -369,3 +370,62 @@ def test_projection_moments_match_projected_state(request, fixture, seed, amplit
     ]
     for got, want in pairs:
         assert abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("fixture", ["small_bounded_spec", "bounded_2d_spec",
+                                     "periodic_spec_1d", "periodic_spec_2d"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6))
+def test_batched_projection_rows_match_single_projections(request, fixture, seed, rows):
+    """Projecting the rows of a pair array together gives, row by row and bit
+    for bit, what projecting each state alone gives."""
+    spec = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(seed)
+    dom = spec.domain
+    scales = rng.uniform(1e-2, 1e2, (rows, 1) + (1,) * dom.dimension)
+    S = rng.standard_normal((rows, 2) + dom.shape) * scales
+    rep, on = fibering_project(spec, S)
+    assert on.shape == S.shape
+    newton = 0
+    for k in range(rows):
+        alone, s_on = fibering_project(spec, State.from_pair(dom, S[k]))
+        newton += alone.iterations
+        assert (rep.t_star[k], rep.phi_at_t[k], rep.slope_residual[k]) == \
+            (alone.t_star, alone.phi_at_t, alone.slope_residual)
+        assert (rep.bracket[0][k], rep.bracket[1][k]) == alone.bracket
+        assert np.array_equal(rep.moments.m[k], alone.moments.m)
+        assert np.array_equal(on[k], s_on.pair())
+    assert rep.iterations == newton
+
+
+def _bisect_root(rd, lo, hi):
+    """``phi'`` root by plain bisection on ``psi = phi'/t`` down to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if rd.psi(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@settings(max_examples=200, deadline=None)
+@given(norm_sq=st.floats(1e-3, 1e3), cross_frac=st.floats(-0.45, 0.45),
+       coeffs=st.lists(st.floats(1e-4, 1e4), min_size=3, max_size=3),
+       mq=st.floats(1e-4, 1e4))
+def test_projection_root_on_random_moment_rows(bounded_2d_spec, norm_sq, cross_frac, coeffs, mq):
+    """On moment rows drawn at random (with the structure's signs: a2 > 0 and
+    positive power moments) the scalar root finder returns the root of phi'
+    inside its bracket, to 1e-12 of a bisection reference, and phi(t*)
+    dominates the bracket ends."""
+    spec = bounded_2d_spec   # exponents 3.5 and 4.5 (u) and 4 (v), q = 2.5
+    rd = _ray_data(spec, np.ones(spec.domain.shape), np.ones(spec.domain.shape))
+    rd = type(rd)(np.array([norm_sq, cross_frac * norm_sq, mq] + coeffs), rd.exps,
+                  rd.inv_p, rd.q)
+    t, (lo, hi), iterations = _project_ray(rd, 1e-12)
+    assert lo <= t <= hi and iterations <= 200
+    assert rd.psi(lo) >= 0.0 >= rd.psi(hi)
+    reference = _bisect_root(rd, lo, hi)
+    assert abs(t - reference) <= 1e-12 * reference
+    assert rd.phi(t) >= max(rd.phi(lo), rd.phi(hi)) - 1e-12 * abs(rd.phi(t))

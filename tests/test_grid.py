@@ -11,6 +11,7 @@ from nehari.grid import (
     GridFunction,
     _ball_offsets,
     _forward_difference,
+    _laplacian_values,
     _neighbor_sum,
     grid_function_to_csv,
     h_inner,
@@ -260,6 +261,42 @@ def test_periodic_stencil_matches_roll_bitwise(shape, seed):
         assert _neighbor_sum(a, axis, True).tobytes() == rolled_sum.tobytes()
         rolled_diff = np.roll(a, -1, axis=axis) - a
         assert _forward_difference(a, axis, dom).tobytes() == rolled_diff.tobytes()
+
+
+def _reference_laplacian(a, dom):
+    """``-lap_h a`` as a zero-initialized sum of ``(2 a - neighbours) / h^2``
+    per axis, with rolled (torus) or zero-padded (box) neighbours."""
+    out = np.zeros_like(a)
+    for axis in range(a.ndim):
+        if dom.periodic:
+            nb = np.roll(a, 1, axis=axis) + np.roll(a, -1, axis=axis)
+        else:
+            padded = np.pad(a, [(1, 1) if k == axis else (0, 0) for k in range(a.ndim)])
+            nb = np.take(padded, np.arange(2, a.shape[axis] + 2), axis=axis) \
+                + np.take(padded, np.arange(a.shape[axis]), axis=axis)
+        out += (2.0 * a - nb) / dom.spacing[axis] ** 2
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(2, 9), min_size=1, max_size=3),
+       periodic=st.booleans(), rows=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_laplacian_matches_reference_bitwise(shape, periodic, rows, seed):
+    """The stencil with its in-place passes is the zero-initialized reference
+    sum bit for bit, signed zeros included, and each row of a batch (leading
+    axes) is the stencil of that row alone."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, 2) + tuple(shape))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[rng.random(a.shape) < 0.2] = -0.0
+    dom = DomainSpec.periodic_torus([1] * len(shape), shape) if periodic \
+        else DomainSpec.dirichlet_box([1.0] * len(shape), shape)
+    batch = _laplacian_values(a, dom)
+    for r in range(rows):
+        for c in range(2):
+            field = np.ascontiguousarray(a[r, c])
+            assert batch[r, c].tobytes() == _reference_laplacian(field, dom).tobytes()
+            assert _laplacian_values(field, dom).tobytes() == batch[r, c].tobytes()
 
 
 def _reference_csv(f: GridFunction) -> str:

@@ -1,5 +1,6 @@
 """Eigenbasis, Fountain diagnostics, orbit distances, deflation."""
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -8,10 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from nehari.grid import DomainSpec, shift
 from nehari.energy import State, e_inner, norm_E
-from nehari.solver import SolveConfig, _descend, find_ground_state, initial_states
+from nehari.solver import (
+    SolveConfig,
+    _descend,
+    _EnergyObjective,
+    find_ground_state,
+    initial_states,
+)
 from nehari.multiplicity import (
     SolutionSet,
     _DeflatedObjective,
+    _symmetry_filters,
     _pnorm_and_grad,
     _sphere_ascent,
     deflated_search,
@@ -20,7 +28,14 @@ from nehari.multiplicity import (
     fountain_diagnostics,
     orbit_distance,
 )
-from conftest import count_calls, make_spec, random_state
+from conftest import (
+    count_calls,
+    make_spec,
+    projected_rows,
+    random_state,
+    ray_rows,
+    realized_rows,
+)
 
 
 def test_eigenbasis_dirichlet_formula(small_bounded_spec):
@@ -293,17 +308,57 @@ def test_collapse_budget_terminates(small_bounded_spec):
 
 def test_deflated_descent_realizes_each_orbit_once_per_point(monkeypatch,
                                                             small_bounded_spec):
-    """Value, gradient and radial derivative of a point share its realizers."""
+    """Value, gradient and radial derivative of a point share its realizers:
+    every projected row realizes each known orbit once (counted in rows)."""
     spec = small_bounded_spec
     _, ground = find_ground_state(spec, SolveConfig(seed=8, starts=2))
     cfg = SolveConfig(seed=8, starts=2, max_iters=25)
     known = [ground, ground.scaled(0.5)]
     counts = {}
-    for name in ("_ray_data", "fibering_project", "_orbit_realizer"):
-        count_calls(monkeypatch, counts, name)
+    for name, rows in (("_ray_data", ray_rows), ("fibering_project", projected_rows),
+                       ("_orbit_realizer", realized_rows)):
+        count_calls(monkeypatch, counts, name, rows)
     objective = _DeflatedObjective(spec, known)
-    init = initial_states(spec, cfg)[1]
-    rep, _ = _descend(spec, cfg, init, objective, 0)
-    assert rep.iterations > 0
+    inits = np.stack([s.pair() for s in initial_states(spec, cfg)])
+    reports, _ = _descend(spec, cfg, inits, objective, [0, 1])
+    assert all(rep.iterations > 0 for rep in reports)
     assert counts["_orbit_realizer"] == len(known) * counts["fibering_project"]
-    assert counts["_ray_data"] == counts["fibering_project"] + 1
+    assert counts["_ray_data"] == counts["fibering_project"] + len(inits)
+
+
+@lru_cache(maxsize=None)
+def _small_box_ground():
+    spec = make_spec(DomainSpec.dirichlet_box(1.0, 64))
+    _, ground = find_ground_state(spec, SolveConfig(seed=8, starts=2))
+    return spec, ground
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), plain=st.integers(1, 3))
+def test_batched_descent_rows_match_runs_alone(seed, plain):
+    """Each row of a batched descent takes the steps of the same run alone:
+    the deflated descent under every symmetry filter and unfiltered, then the
+    plain polish, on the 64-node box (as ``deflated_search`` runs them)."""
+    spec, ground = _small_box_ground()
+    cfg = SolveConfig(seed=seed, starts=plain)
+    starts = np.stack([s.pair() for s in initial_states(spec, cfg)])
+    filters = _symmetry_filters(spec)
+    assert len(filters) == 3   # swap-symmetric, swap-antisymmetric, odd reflection
+    inits = np.concatenate([f(starts[:1]) for f in filters] + [starts])
+    row_filters = filters + [None] * plain
+    names = list(range(len(inits)))
+    stages = [(replace(cfg, grad_tol=1e-6, max_iters=40), _DeflatedObjective(spec, [ground])),
+              (replace(cfg, max_iters=60), _EnergyObjective(spec))]
+    for stage_cfg, objective in stages:
+        reports, finals = _descend(spec, stage_cfg, inits, objective, names, row_filters)
+        for k in names:
+            (alone,), final = _descend(spec, stage_cfg, inits[k:k + 1], objective, [k],
+                                       [row_filters[k]])
+            rep = reports[k]
+            assert (rep.status, rep.iterations, rep.start_index) == \
+                (alone.status, alone.iterations, k)
+            assert abs(rep.energy - alone.energy) <= 1e-12 * abs(alone.energy)
+            assert abs(rep.grad_residual - alone.grad_residual) <= 1e-12 * alone.grad_residual
+            assert np.allclose(finals[k], final[0], rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(final[0])))
+        inits = finals

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nehari import grid
+from nehari import solver as solver_module
 from nehari.grid import DomainSpec, GridFunction, shift
 from nehari.energy import State, energy, fibering_project, nehari_xi, norm_E
 from nehari.solver import (
@@ -17,7 +18,14 @@ from nehari.solver import (
     minimize_on_nehari,
     recenter,
 )
-from conftest import count_calls, make_spec, random_state
+from conftest import (
+    count_calls,
+    descended_rows,
+    make_spec,
+    projected_rows,
+    random_state,
+    ray_rows,
+)
 
 
 def periodic_bump(dom, center, width=0.5):
@@ -281,11 +289,14 @@ def test_descent_makes_no_sorted_reduction(monkeypatch, bounded_spec):
 
 
 def test_one_moment_pass_per_descent_point(monkeypatch, bounded_spec):
-    """Each projection makes the only moment pass of its point; each descent adds
-    one for its report, and no state is re-evaluated through the energy API."""
+    """Each projected row gets the only moment pass of its point; each descended
+    row adds one for its report, and no state is re-evaluated through the
+    energy API.  Counted in rows, since the kernels take batches of rows."""
     counts = {}
-    for name in ("_ray_data", "fibering_project", "_descend",
-                 "energy", "norm_E", "nehari_xi", "nehari_xi_slope"):
+    for name, rows in (("_ray_data", ray_rows), ("fibering_project", projected_rows),
+                       ("_descend", descended_rows)):
+        count_calls(monkeypatch, counts, name, rows)
+    for name in ("energy", "norm_E", "nehari_xi", "nehari_xi_slope"):
         count_calls(monkeypatch, counts, name)
     rep, _ = find_ground_state(bounded_spec, SolveConfig())
     assert rep.status == "converged"
@@ -293,3 +304,22 @@ def test_one_moment_pass_per_descent_point(monkeypatch, bounded_spec):
     assert counts["_ray_data"] == counts["fibering_project"] + counts["_descend"]
     for name in ("energy", "norm_E", "nehari_xi", "nehari_xi_slope"):
         assert counts.get(name, 0) == 0
+
+
+def test_non_finite_residual_names_the_iterate(monkeypatch, small_bounded_spec):
+    """The descent checks J and the residual of every point instead of every
+    node; a non-finite one raises RuntimeError naming the start and iterate."""
+    real = solver_module.grad_l2
+    calls = []
+
+    def poisoned(spec, S):
+        G = real(spec, S)
+        calls.append(len(S))
+        if len(calls) == 3:
+            G[..., 0] = np.nan
+        return G
+
+    monkeypatch.setattr(solver_module, "grad_l2", poisoned)
+    init = initial_states(small_bounded_spec, SolveConfig(seed=1))[0]
+    with pytest.raises(RuntimeError, match=r"^non-finite residual at iterate 2 of start 7$"):
+        minimize_on_nehari(small_bounded_spec, SolveConfig(seed=1), init, start_index=7)
