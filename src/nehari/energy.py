@@ -401,10 +401,11 @@ def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
     )
 
 
-# Grids with at most this many nodes per pair solve both components of all
-# rows as one batch of systems, which halves the per-call overhead that
-# bounds small grids; larger grids solve one component at a time, keeping
-# each batch's working set (256 KB per field at this size) in cache.
+# Node budget of one batch.  Grids with at most this many nodes per pair
+# solve both components of all rows as one batch of systems (halving the
+# per-call overhead of small grids), larger grids one component at a time
+# (a 256 KB field stays in cache).  A descent batch takes as many rows as
+# fit, at least one: one row on the 256^2 torus allocates 8.7 MB.
 _JOINT_PAIR_NODES = 2 ** 15
 
 

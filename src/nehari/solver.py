@@ -23,6 +23,7 @@ import numpy as np
 from .grid import local_mass_sup, shift
 from .model import ProblemSpec
 from .energy import (
+    _JOINT_PAIR_NODES,
     State,
     _RayData,
     _precondition,
@@ -261,11 +262,19 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
     evaluated once: the objective reads its value from the projection that
     produced the point, and the norm and xi-slope come from its moments.
     A non-finite objective value or residual raises ``RuntimeError``.
+    Rows descend in batches of at most ``_JOINT_PAIR_NODES`` nodes, one row
+    at least.
 
     Returns one report per row and the final rows as a pair array.
     """
     dom = spec.domain
     n_rows = len(init)
+    batch = max(1, _JOINT_PAIR_NODES // (2 * dom.size))
+    if n_rows > batch:
+        parts = [_descend(spec, config, init[i:i + batch], objective, start_index[i:i + batch],
+                          filters and filters[i:i + batch], trace and trace[i:i + batch])
+                 for i in range(0, n_rows, batch)]
+        return [r for reps, _ in parts for r in reps], np.concatenate([f for _, f in parts])
     filtered = filters is not None and any(f is not None for f in filters)
     c1, back = config.armijo
     status = ["max_iters"] * n_rows
@@ -410,71 +419,58 @@ def minimize_on_nehari(spec: ProblemSpec, config: SolveConfig, init: State,
     """
     if init.is_zero():
         raise ValueError("initial state must be nonzero")
-    return _descend_one(spec, config, init.pair(), start_index, trace)
-
-
-def _descend_one(spec, config, init: np.ndarray, start_index: int,
-                 trace: list | None = None) -> tuple[SolveReport, State]:
-    """The energy descent of one start (a ``(2, *shape)`` pair): a batch of one row.
-
-    Ground-state starts run one at a time: on the 256^2 torus one start's
-    descent allocates 8.7 MB (tracemalloc), and each start batched with it
-    would add as much again.
-    """
-    (report,), final = _descend(spec, config, init[None], _EnergyObjective(spec),
+    (report,), final = _descend(spec, config, init.pair()[None], _EnergyObjective(spec),
                                 [start_index], trace=None if trace is None else [trace])
     return report, State.from_pair(spec.domain, final[0])
-
-
-def _amplitude(s: State) -> float:
-    return max(float(np.max(np.abs(s.u.values))), float(np.max(np.abs(s.v.values))))
 
 
 def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveReport, State]:
     """Multi-start ground-state search; returns the lowest converged energy.
 
-    On bounded domains every start is replaced by its componentwise absolute
-    value before projection, biasing toward the nonnegative ground state,
-    and the returned components are nonnegative up to 1e-10 of the peak
-    amplitude.  Deterministic for a fixed seed; ties in energy break by
-    start index.
+    All starts go to one batched descent.  On bounded domains every
+    start is replaced by its componentwise absolute value before projection,
+    biasing toward the nonnegative ground state, and the returned components
+    are nonnegative up to 1e-10 of the peak amplitude.  Deterministic for a
+    fixed seed; ties in energy break by start index.
     """
     bounded = not spec.domain.periodic
     starts = np.stack([s.pair() for s in initial_states(spec, config)])
     if bounded:
         starts = np.abs(starts)
-    results: list[tuple[SolveReport, State]] = []
-    for i, init in enumerate(starts):
-        rep, s = _descend_one(spec, config, init, i)
-        if bounded and rep.status == "converged":
-            rep, s = _ensure_nonnegative(spec, config, rep, s, i)
-        results.append((rep, s))
+    reports, final = _descend(spec, config, starts, _EnergyObjective(spec),
+                              list(range(len(starts))))
+    if bounded:
+        reports, final = _ensure_nonnegative(spec, config, reports, final)
 
-    converged = [(r, s) for r, s in results if r.status == "converged"]
+    converged = [r for r in reports if r.status == "converged"]
     if not converged:
         lines = "\n".join(
             f"start {r.start_index}: status={r.status} residual={r.grad_residual:.3e} "
             f"energy={r.energy:.6g} iterations={r.iterations}"
-            for r, _ in results
+            for r in reports
         )
         raise SolverStallError("no start converged:\n" + lines)
-    best_rep, best_state = min(converged, key=lambda rs: (rs[0].energy, rs[0].start_index))
-    rho_all = min(r.rho_estimate for r, _ in results)
-    return replace(best_rep, rho_estimate=rho_all), best_state
+    best = min(converged, key=lambda r: (r.energy, r.start_index))
+    return (replace(best, rho_estimate=min(r.rho_estimate for r in reports)),
+            State.from_pair(spec.domain, final[best.start_index]))
 
 
-def _ensure_nonnegative(spec, config, rep, s, start_index, rounds: int = 3):
-    """Enforce the sign normalization contract on a converged bounded solve."""
+def _ensure_nonnegative(spec, config, reports, final, rounds: int = 3):
+    """Enforce the sign normalization contract on the converged rows of a
+    bounded batch: each round, every converged row with a negative part
+    descends again from its absolute value, all of them as one batch."""
+    reports, final = list(reports), final.copy()
     for _ in range(rounds):
-        amp = _amplitude(s)
-        if min(float(s.u.values.min()), float(s.v.values.min())) >= -1e-10 * amp:
-            return rep, s
-        rep2, s2 = _descend_one(spec, config, np.abs(s.pair()), start_index)
-        rep = replace(rep2, iterations=rep.iterations + rep2.iterations)
-        s = s2
-        if rep.status != "converged":
+        flat = final.reshape(len(final), -1)
+        negative = flat.min(axis=1) < -1e-10 * np.abs(flat).max(axis=1)
+        redo = [r for r in np.flatnonzero(negative) if reports[r].status == "converged"]
+        if not redo:
             break
-    return rep, s
+        again, final[redo] = _descend(spec, config, np.abs(final[redo]), _EnergyObjective(spec),
+                                      [reports[r].start_index for r in redo])
+        for r, rep in zip(redo, again):
+            reports[r] = replace(rep, iterations=reports[r].iterations + rep.iterations)
+    return reports, final
 
 
 def recenter(s: State) -> tuple[State, tuple[int, ...]]:

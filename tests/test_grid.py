@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nehari.grid import (
     DomainSpec,
@@ -189,25 +189,6 @@ def test_local_mass_sup_spike_and_equivariance():
         local_mass_sup(u, zero, 2.6)   # exceeds half the period
 
 
-def test_grid_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    for dom in (DomainSpec.dirichlet_box((1.0, 0.5), (9, 7)),
-                DomainSpec.periodic_torus([3], 4)):
-        f = GridFunction(dom, rng.standard_normal(dom.shape))
-        path = tmp_path / "field.grid"
-        save_grid_function(f, path)
-        g = load_grid_function(path)
-        assert g.domain == dom
-        assert np.array_equal(g.values, f.values)
-        header = path.read_bytes().split(b"\n", 1)[0].decode()
-        assert header.startswith("nehari-grid v1; dim=")
-
-    with pytest.raises(ValueError):
-        bogus = tmp_path / "bogus.grid"
-        bogus.write_bytes(b"not a grid\n")
-        load_grid_function(bogus)
-
-
 def _saved_grid_bytes(tmp_path) -> tuple[bytes, bytes]:
     dom = DomainSpec.dirichlet_box((1.0, 0.5), (3, 2))
     path = tmp_path / "ok.grid"
@@ -227,6 +208,7 @@ def _saved_grid_bytes(tmp_path) -> tuple[bytes, bytes]:
                  lambda h, p: h.rsplit(b"; lengths=", 1)[0] + b"\n" + p, id="missing-lengths"),
     pytest.param("unknown domain kind",
                  lambda h, p: h.replace(b"dirichlet", b"neumann") + b"\n" + p, id="unknown-kind"),
+    pytest.param("not a nehari-grid file", lambda h, p: b"not a grid\n", id="not-a-grid"),
 ])
 def test_grid_file_loader_is_strict(tmp_path, defect, edit):
     header, payload = _saved_grid_bytes(tmp_path)
@@ -318,16 +300,17 @@ _SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
 
 
 @st.composite
-def _domains(draw):
-    """Boxes and tori in 1D/2D/3D with at most 5 (box) or 9 (torus) nodes per axis."""
+def _domains(draw, lengths=st.floats(0.1, 10.0)):
+    """Boxes and tori in 1D/2D/3D with at most 5 (box) or 9 (torus) nodes per axis;
+    ``lengths`` draws the box side lengths."""
     dim = draw(st.integers(1, 3))
     if draw(st.booleans()):
         periods = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
         ppc = draw(st.lists(st.integers(2, 3), min_size=dim, max_size=dim))
         return DomainSpec.periodic_torus(periods, ppc)
     shape = draw(st.lists(st.integers(1, 5), min_size=dim, max_size=dim))
-    lengths = draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
-    return DomainSpec.dirichlet_box(lengths, shape)
+    sides = draw(st.lists(lengths, min_size=dim, max_size=dim))
+    return DomainSpec.dirichlet_box(sides, shape)
 
 
 @settings(max_examples=80, deadline=None)
@@ -342,6 +325,27 @@ def test_csv_export_matches_per_node_formatter(dom, data):
     for vals in (drawn, specials):
         f = GridFunction(dom, np.array(vals, dtype=float).reshape(dom.shape))
         assert grid_function_to_csv(f) == _reference_csv(f)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dom=_domains(lengths=st.floats(0.0, exclude_min=True, allow_infinity=False)),
+       data=st.data())
+def test_grid_file_roundtrip(tmp_path, dom, data):
+    """Save then load gives the same domain and values; saving again gives
+    the same bytes (signed zeros, subnormals and extreme values included)."""
+    value = st.one_of(st.sampled_from(_SPECIAL_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    vals = data.draw(st.lists(value, min_size=dom.size, max_size=dom.size))
+    f = GridFunction(dom, np.array(vals, dtype=float).reshape(dom.shape))
+    first, second = tmp_path / "first.grid", tmp_path / "second.grid"
+    save_grid_function(f, first)
+    g = load_grid_function(first)
+    assert g.domain == dom
+    assert g.values.tobytes() == f.values.tobytes()
+    save_grid_function(g, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert first.read_bytes().startswith(b"nehari-grid v1; dim=")
 
 
 def _reference_local_mass(w: np.ndarray, dom: DomainSpec, r: float) -> np.ndarray:

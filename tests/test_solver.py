@@ -1,5 +1,7 @@
 """Manifold descent, multi-start search, recentering, decay fit, sphere maps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from nehari.solver import (
     SolveConfig,
     SolverStallError,
     decay_fit,
+    _ensure_nonnegative,
     find_ground_state,
     initial_states,
     m_inverse,
@@ -144,6 +147,80 @@ def test_bounded_ground_state_nonnegative(bounded_spec):
     amp = max(np.abs(s.u.values).max(), np.abs(s.v.values).max())
     assert s.u.values.min() >= -1e-10 * amp
     assert s.v.values.min() >= -1e-10 * amp
+
+
+def record_descents(monkeypatch):
+    """Record every ``_descend`` call as (rows handed over, reports, final rows)."""
+    calls = []
+    real = solver_module._descend
+
+    def recorded(spec, config, init, *args, **kwargs):
+        reports, final = real(spec, config, init, *args, **kwargs)
+        calls.append((len(init), reports, final))
+        return reports, final
+
+    monkeypatch.setattr(solver_module, "_descend", recorded)
+    return calls
+
+
+def test_sign_redescent_of_flipped_row(monkeypatch, small_bounded_spec):
+    """Of a converged batch, only the row with a negative part descends again,
+    from its absolute value; its iterations add up and it ends nonnegative."""
+    cfg = SolveConfig()
+    rep, s = find_ground_state(small_bounded_spec, cfg)
+    flipped = s.pair().copy()
+    flipped[1] *= -1.0
+    final = np.stack([s.pair(), flipped])
+    reports = [replace(rep, start_index=0), replace(rep, start_index=1)]
+    calls = record_descents(monkeypatch)
+    out_reports, out_final = _ensure_nonnegative(small_bounded_spec, cfg, reports, final)
+    assert [(rows, [r.start_index for r in again]) for rows, again, _ in calls] == [(1, [1])]
+    again = calls[0][1][0]
+    assert out_reports[1].status == "converged"
+    assert out_reports[1].iterations == rep.iterations + again.iterations
+    assert out_final[1].min() >= -1e-10 * np.abs(out_final[1]).max()
+    assert out_reports[0] == reports[0]
+    assert out_final[0].tobytes() == final[0].tobytes()
+
+
+def test_ground_starts_run_as_one_batch(monkeypatch, bounded_spec):
+    """The default box fits all 5 starts in one descent batch."""
+    calls = record_descents(monkeypatch)
+    find_ground_state(bounded_spec, SolveConfig())
+    assert [rows for rows, _, _ in calls] == [5]
+
+
+def test_descent_batches_bounded_by_node_budget(monkeypatch, small_bounded_spec):
+    """With a budget of two rows, the 5 starts descend in batches of 2, 2 and 1
+    and end exactly where they end as one batch."""
+    cfg = SolveConfig()
+    results = {}
+    for budget in (None, 2 * 2 * small_bounded_spec.domain.size):
+        with monkeypatch.context() as m:
+            if budget is not None:
+                m.setattr(solver_module, "_JOINT_PAIR_NODES", budget)
+            calls = record_descents(m)
+            best = find_ground_state(small_bounded_spec, cfg)
+        results[budget] = calls[-1][1:], best   # the outermost call returns last
+        expected = [5] if budget is None else [2, 2, 1, 5]
+        assert [rows for rows, _, _ in calls] == expected
+    (reports, final), (rep, s) = results[None]
+    (reports_b, final_b), (rep_b, s_b) = results[2 * 2 * small_bounded_spec.domain.size]
+    assert reports_b == reports and rep_b == rep   # every field, floats exactly
+    assert final.tobytes() == final_b.tobytes()
+    assert s.pair().tobytes() == s_b.pair().tobytes()
+
+
+def test_in_descent_recentering_keeps_the_descent():
+    """Integer-cell recentering every 5 iterates leaves the steps unchanged and
+    the result centered (the last of the 45 iterates recenters)."""
+    spec = make_spec(DomainSpec.periodic_torus([24], 8))
+    plain, s_plain = find_ground_state(spec, SolveConfig(seed=10, starts=2, recenter_every=0))
+    moved, s_moved = find_ground_state(spec, SolveConfig(seed=10, starts=2, recenter_every=5))
+    assert (moved.status, moved.iterations) == (plain.status, plain.iterations)
+    assert moved.energy == pytest.approx(plain.energy, rel=1e-12, abs=0.0)
+    assert recenter(s_plain)[1] != (0,)
+    assert recenter(s_moved)[1] == (0,)
 
 
 def test_stall_reporting(small_bounded_spec):
