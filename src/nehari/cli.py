@@ -30,7 +30,7 @@ import numpy as np
 
 from .grid import DomainSpec, GridFunction, grid_function_to_csv, save_grid_function
 from .model import Nonlinearity, ProblemSpec, ValidationError, validate_problem
-from .energy import State, energy, fibering_project, fibering_slope, fibering_value
+from .energy import State, _ray_data, energy, fibering_project
 from .solver import SolveConfig, SolverStallError, decay_fit, find_ground_state, \
     initial_states, recenter
 from .multiplicity import find_distinct_solutions, fountain_diagnostics
@@ -370,11 +370,10 @@ def _cmd_fountain(cfg, spec, out: Path) -> int:
 def _cmd_fibering(cfg, spec, out: Path) -> int:
     s = _initial_state(cfg, spec)
     rep, _ = fibering_project(spec, s)
-    ts = rep.t_star * np.geomspace(0.01, 4.0, 200)
+    ray = _ray_data(spec, s.u.values, s.v.values)
     lines = ["t,phi,dphi"]
-    for t in ts:
-        lines.append(f"{t:.17g},{fibering_value(spec, s, t):.17g},"
-                     f"{fibering_slope(spec, s, t):.17g}")
+    for t in (rep.t_star * np.geomspace(0.01, 4.0, 200)).tolist():
+        lines.append(f"{t:.17g},{ray.phi(t):.17g},{ray.phi_prime(t):.17g}")
     _write(out / f"{cfg.label}_fibering.csv", "\n".join(lines) + "\n")
     _write(out / f"{cfg.label}_fibering.txt",
            f"t_star         = {rep.t_star:.17g}\n"

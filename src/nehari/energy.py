@@ -289,17 +289,9 @@ def grad_l2(spec: ProblemSpec, s):
 
 
 @lru_cache(maxsize=64)
-def _shift_symbol(domain: DomainSpec, c) -> np.ndarray:
-    """Eigenvalues of ``-lap_h + c`` on the sine/Fourier coefficients, read-only.
-
-    ``c`` is one shift, or a tuple of shifts whose symbols are stacked on a
-    leading axis.  Cached per domain and shift: the symbol is rebuilt only
-    for a new one.
-    """
-    if isinstance(c, tuple):
-        symbol = np.stack([_shift_symbol(domain, ci) for ci in c])
-        symbol.setflags(write=False)
-        return symbol
+def _shift_symbol(domain: DomainSpec) -> np.ndarray:
+    """Eigenvalues of ``-lap_h`` on the sine/Fourier coefficients, read-only
+    and cached per domain."""
     dim = domain.dimension
     h = domain.spacing
     shape = list(domain.shape)
@@ -314,20 +306,18 @@ def _shift_symbol(domain: DomainSpec, c) -> np.ndarray:
         axis_shape = [1] * dim
         axis_shape[a] = shape[a]
         lam = lam + eig.reshape(axis_shape)
-    symbol = lam + c
-    symbol.setflags(write=False)
-    return symbol
+    lam.setflags(write=False)
+    return lam
 
 
-def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, c) -> np.ndarray:
+def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Exact solve of ``(-lap_h + c) g = rhs`` by fast sine/Fourier transforms.
 
-    Leading axes of ``rhs`` index separate right-hand sides; ``c`` is one
-    shift for all of them, or a tuple with one shift per entry of a single
-    leading axis.
+    ``rhs`` holds one right-hand side per entry of its single leading axis,
+    and ``shifts`` the shift ``c`` of each.
     """
     axes = _trailing_axes(rhs, domain)
-    symbol = _shift_symbol(domain, c)
+    symbol = _shift_symbol(domain) + shifts.reshape((-1,) + (1,) * domain.dimension)
     if domain.periodic:
         coeff = scipy.fft.rfftn(rhs, axes=axes)
         coeff /= symbol
@@ -337,19 +327,22 @@ def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, c) -> np.ndarray:
     return scipy.fft.idstn(coeff, type=1, axes=axes)
 
 
+_PCG_RTOL = 1e-10
+
+
 def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
-                     rtol: float = 1e-10, out: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, int]:
+                     out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Solve ``(-lap_h + V) x = b`` by preconditioned conjugate gradients.
 
     Every leading index of ``b`` is a system of its own (``V`` broadcasts
     against ``b``), with its own step sizes, iteration count and stopping
-    test; the systems still iterating advance together, and a converged one
-    leaves the batch.  The preconditioner is the exact constant-coefficient
-    solve at the mean potential of each system, so iteration counts stay
-    small; exceeding the iteration cap signals a genuine defect (the
-    operator is symmetric positive definite).  Returns the solutions (in
-    ``out`` when given) and the iterations summed over the systems.
+    test (residual ``_PCG_RTOL`` relative to ``b``); the systems still
+    iterating advance together, and a converged one leaves the batch.  The
+    preconditioner is the exact constant-coefficient solve at the mean
+    potential of each system, so iteration counts stay small; exceeding the
+    iteration cap signals a genuine defect (the operator is symmetric
+    positive definite).  Returns the solutions (in ``out`` when given) and
+    the iterations summed over the systems.
     """
     B = b.reshape((-1,) + domain.shape)
     axes = _trailing_axes(B, domain)
@@ -367,14 +360,12 @@ def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
         return out, 0
     if live.size < len(B):
         B, Vs, shifts, b_norm = B[live], Vs[live], shifts[live], b_norm[live]
-    uniform = bool(np.all(shifts == shifts[0]))
-    c = float(shifts[0]) if uniform else tuple(shifts.tolist())
 
     max_iter = int(np.ceil(10.0 * np.sqrt(domain.size)))
     # keep intermediates O(1); tiny residuals underflow otherwise
     r = B / b_norm
     x = np.zeros_like(r)
-    z = _constant_shift_solve(domain, r, c)
+    z = _constant_shift_solve(domain, r, shifts)
     p = z.copy()
     rz = np.add.reduce(r * z, axis=axes, keepdims=True)
     for k in range(1, max_iter + 1):
@@ -382,22 +373,21 @@ def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
         alpha = rz / np.add.reduce(p * Ap, axis=axes, keepdims=True)
         x += alpha * p
         r -= alpha * Ap
-        done = np.sqrt(np.add.reduce(r * r, axis=axes)) <= rtol
+        done = np.sqrt(np.add.reduce(r * r, axis=axes)) <= _PCG_RTOL
         if done.any():
             X[live[done]] = b_norm[done] * x[done]
             iterations[live[done]] = k
             keep = ~done
             if not keep.any():
                 return out, int(iterations.sum())
-            live, x, r, p, rz, Vs, b_norm = (a[keep] for a in (live, x, r, p, rz, Vs, b_norm))
-            if not uniform:
-                c = tuple(ci for ci, kept in zip(c, keep) if kept)
-        z = _constant_shift_solve(domain, r, c)
+            live, x, r, p, rz, Vs, shifts, b_norm = (
+                a[keep] for a in (live, x, r, p, rz, Vs, shifts, b_norm))
+        z = _constant_shift_solve(domain, r, shifts)
         rz_new = np.add.reduce(r * z, axis=axes, keepdims=True)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise RuntimeError(
-        f"conjugate gradients failed to reach {rtol:g} in {max_iter} iterations"
+        f"conjugate gradients failed to reach {_PCG_RTOL:g} in {max_iter} iterations"
     )
 
 

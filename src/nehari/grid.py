@@ -371,8 +371,19 @@ def shift(f: GridFunction, z) -> GridFunction:
     z = np.atleast_1d(np.asarray(z, dtype=int))
     if z.size != d.dimension:
         raise ValueError("shift vector must have one entry per axis")
-    nodes = tuple(int(zi) * m for zi, m in zip(z, d.points_per_cell))
-    return GridFunction(d, np.roll(f.values, nodes, axis=tuple(range(d.dimension))))
+    return GridFunction(d, _roll_cells(f.values, z, d))
+
+
+def _cell_periods(domain: DomainSpec) -> tuple[int, ...]:
+    """Periods of the cell translation group: the torus periods, none on a box."""
+    return tuple(int(p) for p in domain.lengths) if domain.periodic else ()
+
+
+def _roll_cells(a: np.ndarray, z, domain: DomainSpec) -> np.ndarray:
+    """``a`` translated on its trailing grid axes by the cell shift ``z``, as a
+    new array.  On a box the cell group is trivial and ``z == ()`` copies."""
+    nodes = tuple(int(zi) * (n // p) for zi, n, p in zip(z, domain.shape, _cell_periods(domain)))
+    return np.roll(a, nodes, axis=_trailing_axes(a, domain)[:len(nodes)])
 
 
 def _ball_offsets(domain: DomainSpec, r: float) -> list[tuple[int, ...]]:

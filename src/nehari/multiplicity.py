@@ -26,9 +26,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg import eigh
 
-from .grid import DomainSpec, _schrodinger_values, _trailing_axes
+from .grid import DomainSpec, _cell_periods, _roll_cells, _schrodinger_values
 from .model import ProblemSpec
-from .energy import State, _pair_kernel, _ray_data, grad_l2, norm_E
+from .energy import State, _pair_kernel, _ray_data, grad_l2
 from .solver import (
     SolveConfig,
     SolveReport,
@@ -236,6 +236,8 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
     nonincreasing by construction.  ``rho_k`` doubles the radius until the
     sampled energy maximum over the head-span sphere is nonpositive.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     basis = eigenbasis(spec, k_max + buffer)
     K = len(basis)
     if K < k_max:
@@ -315,41 +317,37 @@ def _apply_block(spec: ProblemSpec, S: np.ndarray) -> np.ndarray:
     return _pair_kernel(spec, S, lambda u, v, V, nl: _schrodinger_values(u, V, dom))
 
 
-def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, s2: np.ndarray):
-    """Distance, realizing sign and cell shift of the orbit of ``s2`` from
-    every row of ``S1``, plus the realized inner product.
+def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, known: np.ndarray):
+    """Orbit distances of every row of ``S1`` from every known orbit.
 
-    ``S1`` is a pair array ``(rows, 2, *shape)`` and ``s2`` a one-row pair
-    array.  All three quadratic terms of ``||s1 -+ tau_z s2||^2``
-    go through the same operator route and accumulate in one fixed order,
-    so quotiented copies (pure sign flips) give exactly zero.  Returns per
-    row the distance, the sign, the cell shift (``None`` on bounded domains)
-    and ``|<(-lap+V) tau_z s2, s1>|``, the block inner product of ``s1``
-    with the realized copy of ``s2``.
+    ``S1`` and ``known`` are pair arrays ``(rows, 2, *shape)`` and
+    ``(orbits, 2, *shape)``.  Each known orbit is realized over the sign
+    flip and the cell translations (none on a box).  All three quadratic
+    terms of ``||s1 -+ tau_z s_k||^2`` go through the same operator route
+    and accumulate in one fixed order, so quotiented copies (pure sign
+    flips) give exactly zero.  Returns ``(rows, orbits)`` arrays of the
+    distance, the realizing sign, ``|<(-lap+V) tau_z s_k, s1>|`` and the
+    cell shift ``z`` (one more trailing axis), and the squared block norms
+    ``<(-lap+V) s, s>`` of the rows and of the known orbits.
     """
     dom = spec.domain
     q1 = _apply_block(spec, S1)
-    q2 = _apply_block(spec, s2)
+    q2 = _apply_block(spec, known)
     n1 = _pair_inner(dom, q1, S1)
-    n2 = _pair_inner(dom, q2, s2)
-    if not dom.periodic:
-        best_ip = _pair_inner(dom, q2, S1)
-        best_z = None
-    else:
-        ppc = dom.points_per_cell
-        periods = tuple(int(p) for p in dom.lengths)
-        best_ip = np.zeros(len(S1))
-        best_z = np.zeros((len(S1), dom.dimension), dtype=int)
-        axes = _trailing_axes(s2, dom)
-        for z in np.ndindex(periods):
-            nodes = tuple(zi * m for zi, m in zip(z, ppc))
-            ip = _pair_inner(dom, np.roll(q2, nodes, axis=axes), S1)
-            better = np.abs(ip) > np.abs(best_ip)
-            best_ip = np.where(better, ip, best_ip)
-            best_z[better] = z
+    n2 = _pair_inner(dom, q2, known)
+    periods = _cell_periods(dom)
+    best_ip = np.zeros((len(S1), len(known)))
+    best_z = np.zeros(best_ip.shape + (len(periods),), dtype=int)
+    for z in np.ndindex(periods):
+        rolled = _roll_cells(q2, z, dom)
+        for k in range(len(known)):
+            ip = _pair_inner(dom, rolled[k], S1)
+            better = np.abs(ip) > np.abs(best_ip[:, k])
+            best_ip[better, k] = ip[better]
+            best_z[better, k] = z
     sign = np.where(best_ip >= 0, 1.0, -1.0)
-    dist = np.sqrt(np.maximum(n1 + n2 - 2.0 * np.abs(best_ip), 0.0))
-    return dist, sign, best_z, np.abs(best_ip)
+    dist = np.sqrt(np.maximum(n1[:, None] + n2 - 2.0 * np.abs(best_ip), 0.0))
+    return dist, sign, np.abs(best_ip), best_z, n1, n2
 
 
 def orbit_distance(spec: ProblemSpec, s1: State, s2: State) -> float:
@@ -361,8 +359,8 @@ def orbit_distance(spec: ProblemSpec, s1: State, s2: State) -> float:
     """
     if s1.domain != s2.domain:
         raise ValueError("states live on different domains")
-    dist, _, _, _ = _orbit_realizer(spec, s1.pair()[None], s2.pair()[None])
-    return float(dist[0])
+    dist = _orbit_realizer(spec, s1.pair()[None], s2.pair()[None])[0]
+    return float(dist[0, 0])
 
 
 @dataclass
@@ -379,10 +377,6 @@ class SolutionSet:
     entries: list[tuple[State, SolveReport]] = field(default_factory=list)
     pairwise_distances: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     twin_orbits: list[State] = field(default_factory=list)
-    # norm_E of each stored state, computed once when it is stored, in the
-    # order of ``entries`` and of ``twin_orbits``
-    _entry_norms: list[float] = field(default_factory=list, init=False, repr=False)
-    _twin_norms: list[float] = field(default_factory=list, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -394,15 +388,17 @@ class SolutionSet:
         return self.states() + self.twin_orbits
 
     def is_new_orbit(self, s: State) -> bool:
-        return self._is_new_orbit(s, norm_E(self.spec, s))
+        return bool(self._new_orbits(s.pair()[None])[0])
 
-    def _is_new_orbit(self, s: State, norm: float) -> bool:
-        known = zip(self.deflation_states(), self._entry_norms + self._twin_norms,
-                    strict=True)
-        return all(
-            orbit_distance(self.spec, s, sk) > _DISTINCT_FACTOR * max(norm, norm_k)
-            for sk, norm_k in known
-        )
+    def _new_orbits(self, S: np.ndarray) -> np.ndarray:
+        """Whether each row of the pair array ``S`` stays clear of every
+        stored orbit, relative to the larger of the two norms."""
+        known = self.deflation_states()
+        if not known:
+            return np.ones(len(S), dtype=bool)
+        dist, _, _, _, n1, n2 = _orbit_realizer(self.spec, S, np.stack([s.pair() for s in known]))
+        thresh = _DISTINCT_FACTOR * np.maximum(np.sqrt(n1)[:, None], np.sqrt(n2))
+        return np.all(dist > thresh, axis=1)
 
     def has_new_level(self, e: float) -> bool:
         if not self.entries:
@@ -412,26 +408,17 @@ class SolutionSet:
 
     def add(self, s: State, report: SolveReport) -> str:
         """Insert a candidate; returns ``added``, ``twin`` or ``known``."""
-        norm = norm_E(self.spec, s)
-        if not self._is_new_orbit(s, norm):
+        if not self.is_new_orbit(s):
             return "known"
         if not self.has_new_level(report.energy):
             self.twin_orbits.append(s)
-            self._twin_norms.append(norm)
             return "twin"
         self.entries.append((s, report))
-        self._entry_norms.append(norm)
-        order = sorted(range(len(self.entries)), key=lambda i: self.entries[i][1].energy)
-        self.entries[:] = [self.entries[i] for i in order]
-        self._entry_norms = [self._entry_norms[i] for i in order]
-        n = len(self.entries)
-        d = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = orbit_distance(
-                    self.spec, self.entries[i][0], self.entries[j][0]
-                )
-        self.pairwise_distances = d
+        self.entries.sort(key=lambda entry: entry[1].energy)
+        E = np.stack([s.pair() for s in self.states()])
+        dist = _orbit_realizer(self.spec, E, E)[0]
+        upper = np.triu(dist, 1)
+        self.pairwise_distances = upper + upper.T
         return "added"
 
     def format_manifest(self, file_names: list[str] | None = None) -> str:
@@ -508,28 +495,21 @@ def _symmetry_filters(spec: ProblemSpec) -> list:
 class _DeflatedObjective:
     """Energy times shifted deflation factors centered at known orbits.
 
-    The orbit realizers of a point are computed with its value and kept in
-    its per-row data (distance, sign, cell shift and realized inner product
-    for each known orbit), where ``grad`` and ``radial_derivative`` read
-    them, so each known orbit is realized once per point.
+    One orbit realizer call per point realizes every known orbit together
+    with its value; its per-row data (distance, sign, cell shift and
+    realized inner product for each known orbit) is where ``grad`` and
+    ``radial_derivative`` read them.
     """
 
-    def __init__(self, spec: ProblemSpec, known: list[State], sigma: float = _DEFLATION_SIGMA):
+    def __init__(self, spec: ProblemSpec, known: list[State]):
         self.spec = spec
-        self.known = [sk.pair()[None] for sk in known]
-        self.sigma = sigma
+        self.known = np.stack([sk.pair() for sk in known])
 
     def value(self, S: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, dict]:
-        realized = [_orbit_realizer(self.spec, S, sk) for sk in self.known]
-        dist = np.stack([np.maximum(d, 1e-150) for d, _, _, _ in realized], axis=1)
-        extra = {
-            "dist": dist,
-            "sign": np.stack([sign for _, sign, _, _ in realized], axis=1),
-            "ip": np.stack([ip for _, _, _, ip in realized], axis=1),
-            "factor": 1.0 + self.sigma / dist ** 2,
-        }
-        if self.spec.domain.periodic:
-            extra["shift"] = np.stack([z for _, _, z, _ in realized], axis=1)
+        dist, sign, ip, shift, _, _ = _orbit_realizer(self.spec, S, self.known)
+        dist = np.maximum(dist, 1e-150)
+        extra = {"dist": dist, "sign": sign, "ip": ip, "shift": shift,
+                 "factor": 1.0 + _DEFLATION_SIGMA / dist ** 2}
         return energy * self._product(extra["factor"]), extra
 
     @staticmethod
@@ -544,7 +524,7 @@ class _DeflatedObjective:
         factors = pts.extra["factor"]
         pi = self._product(factors)
         weights = pts.energy[:, None] * (pi[:, None] / factors) \
-            * (-self.sigma / pts.extra["dist"] ** 4)
+            * (-_DEFLATION_SIGMA / pts.extra["dist"] ** 4)
         return pi, weights
 
     def grad(self, pts) -> np.ndarray:
@@ -555,10 +535,7 @@ class _DeflatedObjective:
         G *= pi.reshape(rows)
         for k, sk in enumerate(self.known):
             sign = pts.extra["sign"][:, k].reshape(rows)
-            W = sk if not dom.periodic else np.stack([
-                np.roll(sk[0], tuple(zi * m for zi, m in zip(z, dom.points_per_cell)),
-                        axis=_trailing_axes(sk[0], dom))
-                for z in pts.extra["shift"][:, k]])
+            W = np.stack([_roll_cells(sk, z, dom) for z in pts.extra["shift"][:, k]])
             A = _apply_block(self.spec, pts.S - sign * W)
             G += (weights[:, k] * 2.0).reshape(rows) * A
         return G
@@ -607,22 +584,16 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
     _, rough = _descend(spec, deflate_cfg, inits, objective, names, run_filters)
     reports, polished = _descend(spec, config, rough, _EnergyObjective(spec), names,
                                  run_filters)
-    candidates = []
-    fallback = None
-    for rep, pair in zip(reports, polished):
-        if rep.status != "converged":
-            continue
-        s = State.from_pair(spec.domain, pair)
-        if known.is_new_orbit(s):
-            candidates.append((rep, s))
-        elif fallback is None:
-            fallback = (rep, s)
+    converged = [k for k, rep in enumerate(reports) if rep.status == "converged"]
+    if not converged:
+        raise RuntimeError("deflated search: no start converged under polishing")
+    new = known._new_orbits(polished[converged])
+    candidates = [k for k, fresh in zip(converged, new) if fresh]
     if candidates:
-        return min(candidates, key=lambda rs: (rs[0].energy, rs[0].start_index))
-    if fallback is not None:
-        rep, s = fallback
-        return replace(rep, status="collapsed"), s
-    raise RuntimeError("deflated search: no start converged under polishing")
+        k = min(candidates, key=lambda k: (reports[k].energy, reports[k].start_index))
+        return reports[k], State.from_pair(spec.domain, polished[k])
+    k = converged[0]
+    return replace(reports[k], status="collapsed"), State.from_pair(spec.domain, polished[k])
 
 
 def find_distinct_solutions(spec: ProblemSpec, config: SolveConfig,

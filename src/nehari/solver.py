@@ -66,8 +66,12 @@ class SolveConfig:
     recenter_every: int = 0                     # 0 disables (periodic only)
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not (0 < self.grad_tol < np.inf):
+            raise ValueError("grad_tol must be positive and finite")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
+        if self.recenter_every < 0:
+            raise ValueError("recenter_every must be nonnegative")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
         c1, back = self.armijo
@@ -455,12 +459,16 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
             State.from_pair(spec.domain, final[best.start_index]))
 
 
-def _ensure_nonnegative(spec, config, reports, final, rounds: int = 3):
+_SIGN_ROUNDS = 3
+
+
+def _ensure_nonnegative(spec, config, reports, final):
     """Enforce the sign normalization contract on the converged rows of a
-    bounded batch: each round, every converged row with a negative part
-    descends again from its absolute value, all of them as one batch."""
+    bounded batch: each of ``_SIGN_ROUNDS`` rounds, every converged row with
+    a negative part descends again from its absolute value, all of them as
+    one batch."""
     reports, final = list(reports), final.copy()
-    for _ in range(rounds):
+    for _ in range(_SIGN_ROUNDS):
         flat = final.reshape(len(final), -1)
         negative = flat.min(axis=1) < -1e-10 * np.abs(flat).max(axis=1)
         redo = [r for r in np.flatnonzero(negative) if reports[r].status == "converged"]

@@ -83,7 +83,8 @@ def count_calls(monkeypatch, counts, name, weight=None):
     ``sys.modules``: the package attribute ``nehari.energy`` is the
     ``energy`` function, not the module.
     """
-    modules = [sys.modules[f"nehari.{m}"] for m in ("energy", "solver", "multiplicity")]
+    modules = [sys.modules[f"nehari.{m}"] for m in ("energy", "solver", "multiplicity", "cli")
+               if f"nehari.{m}" in sys.modules]
     target = next(m.__dict__[name] for m in modules if name in m.__dict__)
 
     def counted(*args, **kwargs):
@@ -109,5 +110,5 @@ def descended_rows(spec, config, init, *args, **kwargs):
     return len(init)
 
 
-def realized_rows(spec, S1, s2):
-    return len(S1)
+def realized_rows(spec, S1, known):
+    return len(S1) * len(known)

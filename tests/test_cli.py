@@ -16,6 +16,7 @@ from nehari.cli import (
     main,
     parse_config,
 )
+from conftest import count_calls
 
 BOUNDED_SMALL = """
 [problem]
@@ -289,3 +290,28 @@ def test_fountain_deterministic_artifacts(tmp_path):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("ground", "max_iters = -1"),
+    ("multiplicity", "max_iters = -1"),
+    ("ground", "recenter_every = -1"),
+    ("ground", "grad_tol = nan"),
+    ("ground", "grad_tol = inf"),
+    ("fountain", "k_max = 0"),
+])
+def test_out_of_range_setting_exit_code(tmp_path, capsys, command, setting):
+    """An out-of-range [solve] value is a config error: exit 2, one line."""
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"[problem]\nresolution = 64\n\n[solve]\n{setting}\n")
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_fibering_reads_one_set_of_ray_moments(tmp_path, monkeypatch):
+    """One moment pass projects the state and one serves all 200 samples."""
+    counts = {}
+    count_calls(monkeypatch, counts, "_ray_data")
+    assert main(["fibering", "--out", str(tmp_path)]) == 0
+    assert counts["_ray_data"] == 2

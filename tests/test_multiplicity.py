@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nehari.grid import DomainSpec, shift
-from nehari.energy import State, e_inner, norm_E
+from nehari.grid import DomainSpec, _roll_cells, shift
+from nehari.energy import State, _ray_data, e_inner, norm_E
 from nehari.solver import (
     SolveConfig,
     _descend,
     _EnergyObjective,
+    _pair_inner,
+    _Points,
     find_ground_state,
     initial_states,
 )
@@ -233,21 +235,22 @@ def test_fountain_beta_golden(bounded_spec):
 
 
 def test_solution_set_computes_each_norm_once(monkeypatch, small_bounded_spec):
-    """Stored norms are reused: one norm_E per add and per orbit test."""
+    """Distinctness reads its norms from the orbit realizer: no moment pass,
+    one realizer call per orbit test and one for the pairwise distances."""
     spec = small_bounded_spec
     rep, s = find_ground_state(spec, SolveConfig(seed=4, starts=3))
     sols = SolutionSet(spec)
     counts = {}
-    count_calls(monkeypatch, counts, "norm_E")
+    for name in ("norm_E", "_ray_data", "_orbit_realizer"):
+        count_calls(monkeypatch, counts, name)
     assert sols.add(s, rep) == "added"
     assert sols.add(State(s.v, s.u), rep) == "twin"
     assert sols.add(s.scaled(-1.0), rep) == "known"
     assert not sols.is_new_orbit(s)
     assert sols.is_new_orbit(s.scaled(0.5))
-    assert counts["norm_E"] == 5
-    monkeypatch.undo()
-    assert sols._entry_norms == [norm_E(spec, s)]
-    assert sols._twin_norms == [norm_E(spec, State(s.v, s.u))]
+    assert counts.get("norm_E", 0) == 0
+    assert counts.get("_ray_data", 0) == 0
+    assert counts["_orbit_realizer"] == 5
 
 
 def test_deflated_search_empty_equals_ground(small_bounded_spec):
@@ -309,21 +312,59 @@ def test_collapse_budget_terminates(small_bounded_spec):
 def test_deflated_descent_realizes_each_orbit_once_per_point(monkeypatch,
                                                             small_bounded_spec):
     """Value, gradient and radial derivative of a point share its realizers:
-    every projected row realizes each known orbit once (counted in rows)."""
+    every projected row realizes each known orbit once (counted in rows times
+    orbits), all known orbits of a point in one realizer call."""
     spec = small_bounded_spec
     _, ground = find_ground_state(spec, SolveConfig(seed=8, starts=2))
     cfg = SolveConfig(seed=8, starts=2, max_iters=25)
     known = [ground, ground.scaled(0.5)]
-    counts = {}
+    counts, calls = {}, {}
     for name, rows in (("_ray_data", ray_rows), ("fibering_project", projected_rows),
                        ("_orbit_realizer", realized_rows)):
         count_calls(monkeypatch, counts, name, rows)
+    for name in ("fibering_project", "_orbit_realizer"):
+        count_calls(monkeypatch, calls, name)
     objective = _DeflatedObjective(spec, known)
     inits = np.stack([s.pair() for s in initial_states(spec, cfg)])
     reports, _ = _descend(spec, cfg, inits, objective, [0, 1])
     assert all(rep.iterations > 0 for rep in reports)
     assert counts["_orbit_realizer"] == len(known) * counts["fibering_project"]
     assert counts["_ray_data"] == counts["fibering_project"] + len(inits)
+    assert calls["_orbit_realizer"] == calls["fibering_project"]
+
+
+def _unprojected_points(objective, S):
+    """Points at the rows of ``S`` as they are: energy and moments of ``S``."""
+    rd = _ray_data(objective.spec, S[:, 0], S[:, 1])
+    energy = rd.breakdown().total
+    value, extra = objective.value(S, energy)
+    return _Points(S, rd, energy, value, extra)
+
+
+@pytest.mark.parametrize("spec_name", ["small_bounded_spec", "periodic_spec_1d"])
+def test_deflated_gradient_matches_central_differences(request, spec_name):
+    """``grad`` of the deflated energy is the L2 representative of the
+    derivative of its value (energy times factors) at unprojected rows,
+    including rows that realize a known orbit through a cell shift."""
+    spec = request.getfixturevalue(spec_name)
+    dom = spec.domain
+    bumps = np.stack([s.pair() for s in initial_states(spec, SolveConfig(seed=12, starts=4))])
+    objective = _DeflatedObjective(spec, [State.from_pair(dom, b) for b in bumps[:2]])
+    z = (3,) if dom.periodic else ()
+    S = np.stack([0.9 * _roll_cells(bumps[0], z, dom) + 0.3 * bumps[2],
+                  bumps[2] - 0.5 * _roll_cells(bumps[1], z, dom)])
+    pts = _unprojected_points(objective, S)
+    if dom.periodic:
+        assert np.any(pts.extra["shift"] != 0)
+    G = objective.grad(pts)
+    rng = np.random.default_rng(13)
+    h = 1e-6
+    for _ in range(3):
+        D = rng.standard_normal(S.shape)
+        plus = _unprojected_points(objective, S + h * D).value
+        minus = _unprojected_points(objective, S - h * D).value
+        expected = _pair_inner(dom, G, D)
+        assert np.allclose((plus - minus) / (2.0 * h), expected, rtol=1e-6, atol=0.0)
 
 
 @lru_cache(maxsize=None)
