@@ -479,7 +479,8 @@ _BRACKET_LIMIT = 2.0 ** 60
 def _project_ray(rd: _RayData, rel_tol: float) -> tuple[float, tuple[float, float], int]:
     """Unique positive root of ``phi'`` by bracketing plus safeguarded Newton.
 
-    ``rd`` holds the moments of one state, as Python floats.
+    ``rd`` holds the moments of one state, as Python floats.  Newton starts
+    at ``t = 1`` when the bracket holds it, else at the bracket midpoint.
     """
     psi1 = rd.psi(1.0)
     if psi1 == 0.0:
@@ -499,7 +500,8 @@ def _project_ray(rd: _RayData, rel_tol: float) -> tuple[float, tuple[float, floa
                 raise RuntimeError("fibering bracket failure: phi' has no sign change")
     bracket = (lo, hi)
 
-    t = 0.5 * (lo + hi)
+    # descent trial points sit next to the manifold, where t* is near 1
+    t = 1.0 if lo <= 1.0 <= hi else 0.5 * (lo + hi)
     iterations = 0
     for _ in range(200):
         iterations += 1
@@ -512,6 +514,10 @@ def _project_ray(rd: _RayData, rel_tol: float) -> tuple[float, tuple[float, floa
         else:
             break
         t_new = t - fp / fpp if fpp != 0.0 else 0.5 * (lo + hi)
+        if abs(t_new - t) <= rel_tol * t:
+            # converged; the step may round onto the bracket end t just became
+            t = min(max(t_new, lo), hi)
+            break
         if not (lo < t_new < hi):
             t_new = 0.5 * (lo + hi)
         step = abs(t_new - t)

@@ -317,11 +317,14 @@ def _apply_block(spec: ProblemSpec, S: np.ndarray) -> np.ndarray:
     return _pair_kernel(spec, S, lambda u, v, V, nl: _schrodinger_values(u, V, dom))
 
 
-def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, known: np.ndarray):
+def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, known: np.ndarray,
+                    applied: np.ndarray | None = None):
     """Orbit distances of every row of ``S1`` from every known orbit.
 
     ``S1`` and ``known`` are pair arrays ``(rows, 2, *shape)`` and
-    ``(orbits, 2, *shape)``.  Each known orbit is realized over the sign
+    ``(orbits, 2, *shape)``; ``applied`` optionally holds
+    ``_apply_block(spec, known)``, for callers that realize the same orbits
+    many times.  Each known orbit is realized over the sign
     flip and the cell translations (none on a box).  All three quadratic
     terms of ``||s1 -+ tau_z s_k||^2`` go through the same operator route
     and accumulate in one fixed order, so quotiented copies (pure sign
@@ -332,7 +335,7 @@ def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, known: np.ndarray):
     """
     dom = spec.domain
     q1 = _apply_block(spec, S1)
-    q2 = _apply_block(spec, known)
+    q2 = _apply_block(spec, known) if applied is None else applied
     n1 = _pair_inner(dom, q1, S1)
     n2 = _pair_inner(dom, q2, known)
     periods = _cell_periods(dom)
@@ -496,7 +499,8 @@ class _DeflatedObjective:
     """Energy times shifted deflation factors centered at known orbits.
 
     One orbit realizer call per point realizes every known orbit together
-    with its value; its per-row data (distance, sign, cell shift and
+    with its value, from the block operator applied to the orbits once per
+    objective; its per-row data (distance, sign, cell shift and
     realized inner product for each known orbit) is where ``grad`` and
     ``radial_derivative`` read them.
     """
@@ -504,9 +508,10 @@ class _DeflatedObjective:
     def __init__(self, spec: ProblemSpec, known: list[State]):
         self.spec = spec
         self.known = np.stack([sk.pair() for sk in known])
+        self.applied = _apply_block(spec, self.known)
 
     def value(self, S: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, dict]:
-        dist, sign, ip, shift, _, _ = _orbit_realizer(self.spec, S, self.known)
+        dist, sign, ip, shift, _, _ = _orbit_realizer(self.spec, S, self.known, self.applied)
         dist = np.maximum(dist, 1e-150)
         extra = {"dist": dist, "sign": sign, "ip": ip, "shift": shift,
                  "factor": 1.0 + _DEFLATION_SIGMA / dist ** 2}

@@ -1,7 +1,8 @@
 """Projected descent on the Nehari manifold and periodic post-processing.
 
 The minimizer walks the manifold directly: each accepted step moves along
-the negative preconditioned gradient and retracts back by the fibering
+the negative preconditioned gradient, with its backtracking started at a
+spectral (Barzilai-Borwein) step, and retracts back by the fibering
 projection, which is exactly the unique ray maximizer, so every iterate
 is feasible.  Stopping tests the full gradient (manifold criticality of
 the energy implies free criticality, so a small full gradient is the
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import local_mass_sup, shift
+from .grid import _roll_cells, local_mass_sup, shift
 from .model import ProblemSpec
 from .energy import (
     _JOINT_PAIR_NODES,
@@ -129,8 +130,10 @@ class _Points:
     """Evaluated manifold points, one per row of the pair array ``S``.
 
     ``energy`` is ``J = phi(t*)`` from the projection, ``value`` the
-    objective's value, and ``extra`` the objective's own per-row data (the
-    deflation realizers), all indexed by row like ``S`` and ``moments``.
+    objective's value, ``extra`` the objective's own per-row data (the
+    deflation realizers) and ``scale`` the factor ``t*`` that projected each
+    row (``None`` for points not made by a projection), all indexed by row
+    like ``S`` and ``moments``.
     """
 
     S: np.ndarray
@@ -138,10 +141,12 @@ class _Points:
     energy: np.ndarray
     value: np.ndarray
     extra: dict
+    scale: np.ndarray | None = None
 
     def take(self, rows) -> "_Points":
         return _Points(self.S[rows], self.moments.take(rows), self.energy[rows],
-                       self.value[rows], {k: a[rows] for k, a in self.extra.items()})
+                       self.value[rows], {k: a[rows] for k, a in self.extra.items()},
+                       None if self.scale is None else self.scale[rows])
 
     @staticmethod
     def join(parts: list["_Points"]) -> "_Points":
@@ -152,6 +157,7 @@ class _Points:
             np.concatenate([p.energy for p in parts]),
             np.concatenate([p.value for p in parts]),
             {k: np.concatenate([p.extra[k] for p in parts]) for k in parts[0].extra},
+            np.concatenate([p.scale for p in parts]),
         )
 
 
@@ -229,7 +235,7 @@ def _evaluate(spec: ProblemSpec, objective, S: np.ndarray) -> _Points:
     """Project the rows of ``S`` onto the manifold and evaluate the objective there."""
     fib, on = fibering_project(spec, S)
     value, extra = objective.value(on, fib.phi_at_t)
-    return _Points(on, fib.moments, fib.phi_at_t, value, extra)
+    return _Points(on, fib.moments, fib.phi_at_t, value, extra, fib.t_star)
 
 
 def _require_finite(x: np.ndarray, what: str, iterate: int, starts, rows) -> None:
@@ -246,13 +252,37 @@ def _filter_directions(D: np.ndarray, filters: list) -> None:
             D[k:k + 1] = filt(D[k:k + 1])
 
 
+def _spectral_steps(domain, pts: _Points, G: np.ndarray, D: np.ndarray, memory) -> np.ndarray:
+    """First trial step of each row: the Barzilai-Borwein (BB2) step
+    ``<ds, dg> / <dd, dg>`` in the preconditioned metric, or 1.
+
+    ``ds``, ``dg`` and ``dd`` are the row's changes of point, L2 gradient and
+    direction since its previous iterate; ``memory`` holds that iterate's
+    gradients, directions and accepted steps, or is ``None`` on the first
+    iterate.  The point change needs no stored point: the retraction made
+    ``s_k = t* (s_{k-1} - a d_{k-1})``, so ``ds = (1 - 1/t*) s_k - a d_{k-1}``.
+    A row whose pairings are not both positive (no movement, or negative
+    curvature along the step as while a start leaves a saddle) falls back
+    to the unit step.
+    """
+    if memory is None:
+        return np.ones(len(G))
+    G_prev, D_prev, step_prev = memory
+    dG = G - G_prev
+    d_prev = _pair_inner(domain, D_prev, dG)
+    sy = (1.0 - 1.0 / pts.scale) * _pair_inner(domain, pts.S, dG) - step_prev * d_prev
+    yy = _pair_inner(domain, D, dG) - d_prev
+    return np.divide(sy, yy, out=np.ones_like(sy), where=(sy > 0.0) & (yy > 0.0))
+
+
 _FUZZ = 8.0 * np.finfo(float).eps
 
 
 def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective,
              start_index: list[int], filters: list | None = None,
              trace: list | None = None) -> tuple[list[SolveReport], np.ndarray]:
-    """Armijo-backtracking projected descent with fibering retraction.
+    """Armijo-backtracking projected descent with fibering retraction and
+    spectral first steps.
 
     Every row of the pair array ``init`` (``(rows, 2, *shape)``, nonzero
     rows) is a start, named by its entry of ``start_index``, and all rows
@@ -265,6 +295,9 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
     row a list that collects its accepted objective values.  Each point is
     evaluated once: the objective reads its value from the projection that
     produced the point, and the norm and xi-slope come from its moments.
+    Each row's backtracking starts at its spectral step (``_spectral_steps``)
+    and the row stalls when no step above the float granularity of its
+    point passes the Armijo test.
     A non-finite objective value or residual raises ``RuntimeError``.
     Rows descend in batches of at most ``_JOINT_PAIR_NODES`` nodes, one row
     at least.
@@ -290,6 +323,7 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
 
     pts = _evaluate(spec, objective, init)
     _require_finite(pts.value, "objective value", 0, start_index, idx)
+    memory = None   # (G, D, accepted step) of the previous iterate, by row
     for it in range(config.max_iters + 1):
         if trace is not None:
             for row, value in zip(idx, pts.value.tolist()):
@@ -312,6 +346,8 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
             finished.append((idx[stop], pts.S[stop]))
             keep = ~stop
             idx, pts, G = idx[keep], pts.take(keep), G[keep]
+            if memory is not None:
+                memory = tuple(a[keep] for a in memory)
 
         D = _precondition(spec, G)
         if filtered:
@@ -331,10 +367,16 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
 
         # Armijo backtracking per row; the rows still searching try together.
         # Roundoff slack keeps full steps acceptable once the decrease per
-        # step falls below float granularity of the energy
+        # step falls below float granularity of the energy.  A row stalls
+        # once its step falls below float granularity of its point: such a
+        # trial is the point itself, and accepting it by the slack would
+        # repeat the same iterate up to max_iters
         n = len(idx)
         fuzz = _FUZZ * (np.abs(pts.value) + 1.0)
-        alpha = np.ones(n)
+        alpha = _spectral_steps(dom, pts, G, D, memory)
+        memory = None   # free the previous iterate's arrays before the trials
+        grain = np.finfo(float).eps * np.abs(pts.S).reshape(n, -1).max(axis=1)
+        reach = np.abs(D).reshape(n, -1).max(axis=1)
         searching = np.flatnonzero(slope < 0.0)
         moved, parts = [], []
         for _ in range(_MAX_BACKTRACKS):
@@ -356,6 +398,7 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
                 ok[nonzero] = better
             alpha[searching[~ok]] *= back
             searching = searching[~ok]
+            searching = searching[alpha[searching] * reach[searching] > grain[searching]]
 
         if len(parts) == 1:
             pos, new = moved[0], parts[0]
@@ -375,13 +418,16 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
                 break
             finished.append((idx[stalled], pts.S[stalled]))
             idx = idx[pos]
+            G, D = G[pos], D[pos]
+        memory = (G, D, alpha[pos])
         pts = new
         iterations[idx] = it + 1
         if (dom.periodic and config.recenter_every
                 and (it + 1) % config.recenter_every == 0):
             for k in range(len(idx)):
-                s, _ = recenter(State.from_pair(dom, pts.S[k]))
+                s, z = recenter(State.from_pair(dom, pts.S[k]))
                 pts.S[k] = s.pair()
+                G[k], D[k] = _roll_cells(G[k], z, dom), _roll_cells(D[k], z, dom)
             pts.value, pts.extra = objective.value(pts.S, pts.energy)
 
     if len(finished) == 1:
@@ -416,9 +462,10 @@ def minimize_on_nehari(spec: ProblemSpec, config: SolveConfig, init: State,
     """Minimize the energy over the Nehari manifold from one initial state.
 
     The initial state is projected onto the manifold; each iteration takes
-    the preconditioned full gradient as descent direction, backtracks until
-    the Armijo test holds for the retracted trial point, and stops when the
-    relative full-gradient residual drops below ``grad_tol``.  Accepted
+    the preconditioned full gradient as descent direction, backtracks from
+    its spectral step until the Armijo test holds for the retracted trial
+    point, and stops when the relative full-gradient residual drops below
+    ``grad_tol``.  Accepted
     energies decrease monotonically (up to roundoff slack near stagnation).
     """
     if init.is_zero():

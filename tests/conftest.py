@@ -110,5 +110,5 @@ def descended_rows(spec, config, init, *args, **kwargs):
     return len(init)
 
 
-def realized_rows(spec, S1, known):
+def realized_rows(spec, S1, known, *args, **kwargs):
     return len(S1) * len(known)

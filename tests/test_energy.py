@@ -429,3 +429,19 @@ def test_projection_root_on_random_moment_rows(bounded_2d_spec, norm_sq, cross_f
     reference = _bisect_root(rd, lo, hi)
     assert abs(t - reference) <= 1e-12 * reference
     assert rd.phi(t) >= max(rd.phi(lo), rd.phi(hi)) - 1e-12 * abs(rd.phi(t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(-1e-3, 1e-3))
+def test_projection_next_to_the_manifold_reaches_roundoff(bounded_spec, seed, eps):
+    """Rows next to the manifold, like every descent trial (t* = 1/(1 + eps)):
+    Newton from t = 1 meets the root to roundoff within a few steps, also
+    where its converged step rounds onto the bracket end it just moved."""
+    s = random_state(bounded_spec, np.random.default_rng(seed))
+    on = fibering_project(bounded_spec, s)[1]
+    rd = _ray_data(bounded_spec, on.u.values, on.v.values)
+    ray = type(rd)(np.array(rd.scaled_row(1.0 + eps)), rd.exps, rd.inv_p, rd.q)
+    t, (lo, hi), iterations = _project_ray(ray, 1e-12)
+    reference = _bisect_root(ray, lo, hi)
+    assert abs(t - reference) <= 1e-14 * reference
+    assert iterations <= 8

@@ -163,6 +163,45 @@ def record_descents(monkeypatch):
     return calls
 
 
+def test_default_box_iterate_budget(monkeypatch, bounded_spec):
+    """Spectral first steps: every start of the default box converges within
+    25 iterates (unit first steps take 32-36)."""
+    calls = record_descents(monkeypatch)
+    find_ground_state(bounded_spec, SolveConfig())
+    rows, reports, _ = calls[0]
+    assert rows == 5
+    assert all(r.status == "converged" and r.iterations <= 25 for r in reports)
+
+
+def test_periodic_cosine_ground_state_converges(monkeypatch):
+    """On a torus with a nonconstant periodic potential, every start
+    converges within 150 iterates (unit first steps stall at 500)."""
+    well = lambda x: 1.0 + 0.25 * np.cos(2.0 * np.pi * x)
+    spec = make_spec(DomainSpec.periodic_torus([8], 16), V1=well, V2=well, lam=0.3)
+    calls = record_descents(monkeypatch)
+    rep, _ = find_ground_state(spec, SolveConfig(starts=3))
+    [(rows, reports, _)] = calls
+    assert rows == 3
+    assert all(r.status == "converged" and r.iterations <= 150 for r in reports)
+    assert rep.grad_residual <= 1e-8
+
+
+def test_backtracking_stalls_below_the_point_granularity(small_bounded_spec):
+    """A row whose every trial step above the float granularity of its point
+    is rejected stalls there, instead of accepting its unmoved point by the
+    roundoff slack and repeating it up to max_iters, as some deflated
+    descents did."""
+
+    class Uphill(solver_module._EnergyObjective):
+        def grad(self, pts):
+            return -super().grad(pts)   # ascent directions whose slope reads downhill
+
+    init = initial_states(small_bounded_spec, SolveConfig(seed=1))[0].pair()[None]
+    (rep,), _ = solver_module._descend(small_bounded_spec, SolveConfig(max_iters=50), init,
+                                       Uphill(small_bounded_spec), [0])
+    assert rep.status == "stalled" and rep.iterations < 50
+
+
 def test_sign_redescent_of_flipped_row(monkeypatch, small_bounded_spec):
     """Of a converged batch, only the row with a negative part descends again,
     from its absolute value; its iterations add up and it ends nonnegative."""
@@ -212,15 +251,23 @@ def test_descent_batches_bounded_by_node_budget(monkeypatch, small_bounded_spec)
 
 
 def test_in_descent_recentering_keeps_the_descent():
-    """Integer-cell recentering every 5 iterates leaves the steps unchanged and
-    the result centered (the last of the 45 iterates recenters)."""
+    """Integer-cell recentering every 5 iterates leaves the steps of every
+    start unchanged (the spectral step memory moves with the point) and
+    every result centered."""
     spec = make_spec(DomainSpec.periodic_torus([24], 8))
-    plain, s_plain = find_ground_state(spec, SolveConfig(seed=10, starts=2, recenter_every=0))
-    moved, s_moved = find_ground_state(spec, SolveConfig(seed=10, starts=2, recenter_every=5))
-    assert (moved.status, moved.iterations) == (plain.status, plain.iterations)
-    assert moved.energy == pytest.approx(plain.energy, rel=1e-12, abs=0.0)
-    assert recenter(s_plain)[1] != (0,)
-    assert recenter(s_moved)[1] == (0,)
+    runs = {}
+    for every in (0, 5):
+        cfg = SolveConfig(seed=10, starts=2, recenter_every=every)
+        starts = np.stack([s.pair() for s in initial_states(spec, cfg)])
+        runs[every] = solver_module._descend(spec, cfg, starts,
+                                             solver_module._EnergyObjective(spec), [0, 1])
+    (plain, final_plain), (moved, final_moved) = runs[0], runs[5]
+    assert [(r.status, r.iterations) for r in moved] == [(r.status, r.iterations) for r in plain]
+    for rep_moved, rep_plain, s_plain, s_moved in zip(moved, plain, final_plain, final_moved):
+        assert rep_moved.status == "converged"
+        assert rep_moved.energy == pytest.approx(rep_plain.energy, rel=1e-12, abs=0.0)
+        assert recenter(State.from_pair(spec.domain, s_plain))[1] != (0,)
+        assert recenter(State.from_pair(spec.domain, s_moved))[1] == (0,)
 
 
 def test_stall_reporting(small_bounded_spec):
