@@ -28,9 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import DomainSpec, GridFunction, grid_function_to_csv, save_grid_function
+from .grid import DomainSpec, GridFunction, _format_record, grid_function_to_csv, \
+    save_grid_function
 from .model import Nonlinearity, ProblemSpec, ValidationError, validate_problem
-from .energy import State, _ray_data, energy, fibering_project
+from .energy import State, _ray_data, _state_values, energy, fibering_project
 from .solver import SolveConfig, SolverStallError, decay_fit, find_ground_state, \
     initial_states, recenter
 from .multiplicity import find_distinct_solutions, fountain_diagnostics
@@ -141,8 +142,47 @@ def _unquote(value: str) -> str:
     return value
 
 
+_as_floats = lambda v: tuple(float(x) for x in v.split(","))
+_as_ints = lambda v: tuple(int(x) for x in v.split(","))
+_as_expr = lambda v: expr_to_text(parse_expr(_unquote(v)))
+_joined = lambda values: ",".join(str(x) for x in values)
+_quoted = lambda text: f'"{text}"'
+
+# One row per config key, in emission order: (section, key, RunConfig
+# field, parse of the value text, emission of the field value).  A field
+# that is None is not emitted.
+_CONFIG_SCHEMA = (
+    ("problem", "kind", "kind", str, str),
+    ("problem", "lengths", "lengths", _as_floats, _joined),
+    ("problem", "resolution", "resolution", _as_ints, _joined),
+    ("problem", "q", "q", float, str),
+    ("problem", "delta", "delta", float, str),
+    ("problem", "f1", "f1", _parse_terms, _emit_terms),
+    ("problem", "f2", "f2", _parse_terms, _emit_terms),
+    ("problem", "v1", "v1", _as_expr, _quoted),
+    ("problem", "v2", "v2", _as_expr, _quoted),
+    ("problem", "lambda", "lam", _as_expr, _quoted),
+    ("problem", "init_u", "init_u", _as_expr, _quoted),
+    ("problem", "init_v", "init_v", _as_expr, _quoted),
+    ("solve", "max_iters", "max_iters", int, str),
+    ("solve", "grad_tol", "grad_tol", float, str),
+    ("solve", "armijo_c1", "armijo_c1", float, str),
+    ("solve", "armijo_backtrack", "armijo_backtrack", float, str),
+    ("solve", "starts", "starts", int, str),
+    ("solve", "seed", "seed", int, str),
+    ("solve", "recenter_every", "recenter_every", int, str),
+    ("solve", "target_count", "target_count", int, str),
+    ("solve", "collapse_budget", "collapse_budget", int, str),
+    ("solve", "k_max", "k_max", int, str),
+    ("output", "out_dir", "out_dir", str, str),
+    ("output", "label", "label", str, str),
+)
+_SECTIONS = ("problem", "solve", "output")
+
+
 def parse_config(text: str, command: str = "validate") -> RunConfig:
-    """Parse the sectioned key=value format into a RunConfig."""
+    """Parse the sectioned key=value format into a RunConfig; an unknown
+    section or key, or a key repeated within a section, is an error."""
     sections: dict[str, dict[str, str]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -151,52 +191,23 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in ("problem", "solve", "output"):
+            if current not in _SECTIONS:
                 raise ConfigError(f"line {lineno}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
         if current is None or "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value' inside a section")
-        key, value = line.split("=", 1)
-        sections[current][key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: duplicated key {key!r} in section [{current}]")
+        sections[current][key] = value
 
     cfg = default_config(sections.get("problem", {}).get("kind", "dirichlet_box"))
-    cfg = replace(cfg, command=command)
-
-    def take(section, key, conv, attr=None):
-        nonlocal cfg
-        if section in sections and key in sections[section]:
-            value = sections[section].pop(key)
-            cfg = replace(cfg, **{attr or key: conv(value)})
-
-    as_floats = lambda v: tuple(float(x) for x in v.split(","))
-    as_ints = lambda v: tuple(int(x) for x in v.split(","))
-    expr = lambda v: expr_to_text(parse_expr(_unquote(v)))
-
-    take("problem", "kind", str)
-    take("problem", "lengths", as_floats)
-    take("problem", "resolution", as_ints)
-    take("problem", "q", float)
-    take("problem", "delta", float)
-    take("problem", "f1", _parse_terms)
-    take("problem", "f2", _parse_terms)
-    take("problem", "v1", expr)
-    take("problem", "v2", expr)
-    take("problem", "lambda", expr, attr="lam")
-    take("problem", "init_u", expr)
-    take("problem", "init_v", expr)
-    take("solve", "max_iters", int)
-    take("solve", "grad_tol", float)
-    take("solve", "armijo_c1", float)
-    take("solve", "armijo_backtrack", float)
-    take("solve", "starts", int)
-    take("solve", "seed", int)
-    take("solve", "recenter_every", int)
-    take("solve", "target_count", int)
-    take("solve", "collapse_budget", int)
-    take("solve", "k_max", int)
-    take("output", "out_dir", str)
-    take("output", "label", str)
+    values = {}
+    for section, key, attr, parse, _ in _CONFIG_SCHEMA:
+        if key in sections.get(section, {}):
+            values[attr] = parse(sections[section].pop(key))
+    cfg = replace(cfg, command=command, **values)
 
     for section, entries in sections.items():
         if entries:
@@ -208,38 +219,15 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
 
 def emit_config(cfg: RunConfig) -> str:
     """Canonical text form; parsing it back is semantically identical."""
-    lines = ["[problem]"]
-    lines.append(f"kind = {cfg.kind}")
-    lines.append("lengths = " + ",".join(repr(l) for l in cfg.lengths))
-    lines.append("resolution = " + ",".join(str(n) for n in cfg.resolution))
-    lines.append(f"q = {repr(cfg.q)}")
-    lines.append(f"delta = {repr(cfg.delta)}")
-    lines.append(f"f1 = {_emit_terms(cfg.f1)}")
-    lines.append(f"f2 = {_emit_terms(cfg.f2)}")
-    lines.append(f'v1 = "{cfg.v1}"')
-    lines.append(f'v2 = "{cfg.v2}"')
-    lines.append(f'lambda = "{cfg.lam}"')
-    if cfg.init_u is not None:
-        lines.append(f'init_u = "{cfg.init_u}"')
-    if cfg.init_v is not None:
-        lines.append(f'init_v = "{cfg.init_v}"')
-    lines.append("")
-    lines.append("[solve]")
-    lines.append(f"max_iters = {cfg.max_iters}")
-    lines.append(f"grad_tol = {repr(cfg.grad_tol)}")
-    lines.append(f"armijo_c1 = {repr(cfg.armijo_c1)}")
-    lines.append(f"armijo_backtrack = {repr(cfg.armijo_backtrack)}")
-    lines.append(f"starts = {cfg.starts}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append(f"recenter_every = {cfg.recenter_every}")
-    lines.append(f"target_count = {cfg.target_count}")
-    lines.append(f"collapse_budget = {cfg.collapse_budget}")
-    lines.append(f"k_max = {cfg.k_max}")
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"out_dir = {cfg.out_dir}")
-    lines.append(f"label = {cfg.label}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for name in _SECTIONS:
+        lines = [f"[{name}]"]
+        for section, key, attr, _, emit in _CONFIG_SCHEMA:
+            value = getattr(cfg, attr)
+            if section == name and value is not None:
+                lines.append(f"{key} = {emit(value)}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +358,14 @@ def _cmd_fountain(cfg, spec, out: Path) -> int:
 def _cmd_fibering(cfg, spec, out: Path) -> int:
     s = _initial_state(cfg, spec)
     rep, _ = fibering_project(spec, s)
-    ray = _ray_data(spec, s.u.values, s.v.values)
+    ray = _ray_data(spec, *_state_values(spec, s))
     lines = ["t,phi,dphi"]
     for t in (rep.t_star * np.geomspace(0.01, 4.0, 200)).tolist():
         lines.append(f"{t:.17g},{ray.phi(t):.17g},{ray.phi_prime(t):.17g}")
     _write(out / f"{cfg.label}_fibering.csv", "\n".join(lines) + "\n")
+    names = ("t_star", "phi_at_t", "bracket", "iterations", "slope_residual")
     _write(out / f"{cfg.label}_fibering.txt",
-           f"t_star         = {rep.t_star:.17g}\n"
-           f"phi_at_t       = {rep.phi_at_t:.17g}\n"
-           f"bracket        = [{rep.bracket[0]:.17g}, {rep.bracket[1]:.17g}]\n"
-           f"iterations     = {rep.iterations}\n"
-           f"slope_residual = {rep.slope_residual:.17g}\n")
+           _format_record((name, getattr(rep, name)) for name in names))
     print(f"fibering: t* = {rep.t_star:.12g}, phi(t*) = {rep.phi_at_t:.12g}")
     return 0
 

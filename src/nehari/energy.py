@@ -19,7 +19,7 @@ plus a scalar safeguarded Newton iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -28,6 +28,7 @@ import scipy.fft
 from .grid import (
     DomainSpec,
     GridFunction,
+    _format_record,
     _gradient_energy,
     _schrodinger_values,
     _trailing_axes,
@@ -97,13 +98,7 @@ class EnergyBreakdown:
     total: float
 
     def format_text(self) -> str:
-        return (
-            f"quad  = {self.quad:.17g}\n"
-            f"cross = {self.cross:.17g}\n"
-            f"fpart = {self.fpart:.17g}\n"
-            f"qpart = {self.qpart:.17g}\n"
-            f"total = {self.total:.17g}\n"
-        )
+        return _format_record((f.name, getattr(self, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -227,21 +222,26 @@ def _ray_data(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> _RayData:
                     tuple(1.0 / p for p in exps), spec.q)
 
 
-def energy(spec: ProblemSpec, s: State) -> EnergyBreakdown:
-    """Evaluate the energy with its four quadrature parts."""
+def _state_values(spec: ProblemSpec, s: State) -> tuple[np.ndarray, np.ndarray]:
+    """The components of a state argument, which must live on the problem domain."""
     if s.domain != spec.domain:
         raise ValueError("state does not live on the problem domain")
-    return _ray_data(spec, s.u.values, s.v.values).breakdown()
+    return s.u.values, s.v.values
+
+
+def energy(spec: ProblemSpec, s: State) -> EnergyBreakdown:
+    """Evaluate the energy with its four quadrature parts."""
+    return _ray_data(spec, *_state_values(spec, s)).breakdown()
 
 
 def coercive_form(spec: ProblemSpec, s: State) -> float:
     """``||s||^2 - 2 int lam u v``; at least ``(1-delta) ||s||^2`` for valid data."""
-    return float(_ray_data(spec, s.u.values, s.v.values).a2)
+    return float(_ray_data(spec, *_state_values(spec, s)).a2)
 
 
 def norm_E(spec: ProblemSpec, s: State) -> float:
     """The block norm ``||s|| = (||u||_{V1}^2 + ||v||_{V2}^2)^(1/2)``."""
-    rd = _ray_data(spec, s.u.values, s.v.values)
+    rd = _ray_data(spec, *_state_values(spec, s))
     return float(np.sqrt(rd.norm_sq))
 
 
@@ -265,7 +265,7 @@ def _pair_kernel(spec: ProblemSpec, s, component):
     The kernels run one component at a time over all rows, so their working
     set stays that of one component per row.
     """
-    S = s.pair()[None] if isinstance(s, State) else s
+    S = np.stack(_state_values(spec, s))[None] if isinstance(s, State) else s
     out = np.empty_like(S)
     for c, V, nl in _components(spec):
         out[:, c] = component(S[:, c], S[:, 1 - c], V, nl)
@@ -418,9 +418,9 @@ def grad_precond(spec: ProblemSpec, s: State, g: State | None = None) -> State:
     gradients to relative residual 1e-10.  Pass ``g`` to reuse an already
     computed L2 gradient.
     """
-    if g is None:
-        g = grad_l2(spec, s)
-    return State.from_pair(spec.domain, _precondition(spec, g.pair()[None])[0])
+    S = np.stack(_state_values(spec, s))[None]
+    G = grad_l2(spec, S) if g is None else np.stack(_state_values(spec, g))[None]
+    return State.from_pair(spec.domain, _precondition(spec, G)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +430,12 @@ def grad_precond(spec: ProblemSpec, s: State, g: State | None = None) -> State:
 
 def nehari_xi(spec: ProblemSpec, s: State) -> float:
     """The constraint functional ``xi(s) = J'(s)(s)``."""
-    return float(_ray_data(spec, s.u.values, s.v.values).xi())
+    return float(_ray_data(spec, *_state_values(spec, s)).xi())
 
 
 def nehari_xi_slope(spec: ProblemSpec, s: State) -> float:
     """Radial slope ``xi'(s)(s)``; strictly negative on the manifold."""
-    return float(_ray_data(spec, s.u.values, s.v.values).xi_slope())
+    return float(_ray_data(spec, *_state_values(spec, s)).xi_slope())
 
 
 def xi_grad_l2(spec: ProblemSpec, s):
@@ -453,12 +453,12 @@ def xi_grad_l2(spec: ProblemSpec, s):
 
 def fibering_value(spec: ProblemSpec, s: State, t: float) -> float:
     """``phi(t) = J(t s)`` via the ray moments."""
-    return float(_ray_data(spec, s.u.values, s.v.values).phi(float(t)))
+    return float(_ray_data(spec, *_state_values(spec, s)).phi(float(t)))
 
 
 def fibering_slope(spec: ProblemSpec, s: State, t: float) -> float:
     """``phi'(t) = J'(t s)(s)`` via the ray moments."""
-    return float(_ray_data(spec, s.u.values, s.v.values).phi_prime(float(t)))
+    return float(_ray_data(spec, *_state_values(spec, s)).phi_prime(float(t)))
 
 
 def fibering_slope_nehari_form(spec: ProblemSpec, s: State, t: float) -> float:
@@ -467,13 +467,14 @@ def fibering_slope_nehari_form(spec: ProblemSpec, s: State, t: float) -> float:
     Equals ``sum_j c_j (t - t^{p_j-1}) + (t^{q-1} - t) mq``, which agrees
     with ``phi'`` exactly when ``xi(s) = 0``.
     """
-    rd = _ray_data(spec, s.u.values, s.v.values)
+    rd = _ray_data(spec, *_state_values(spec, s))
     t = float(t)
     fsum = sum(c * (t - t ** (p - 1.0)) for c, p in zip(rd.coeffs, rd.exps))
     return float(fsum + (t ** (rd.q - 1.0) - t) * rd.mq)
 
 
 _BRACKET_LIMIT = 2.0 ** 60
+_FIBERING_RTOL = 1e-12   # the relative step that ends the t* Newton of a projection
 
 
 def _project_ray(rd: _RayData, rel_tol: float) -> tuple[float, tuple[float, float], int]:
@@ -527,7 +528,7 @@ def _project_ray(rd: _RayData, rel_tol: float) -> tuple[float, tuple[float, floa
     return t, bracket, iterations
 
 
-def fibering_project(spec: ProblemSpec, s, rel_tol: float = 1e-12):
+def fibering_project(spec: ProblemSpec, s):
     """Scale a nonzero state onto the Nehari manifold.
 
     Finds the unique ``t* > 0`` with ``phi'(t*) = 0`` (bracketing by
@@ -545,7 +546,7 @@ def fibering_project(spec: ProblemSpec, s, rel_tol: float = 1e-12):
     few entries, 15x the scalar cost for one row and still slower for eight.)
     """
     single = isinstance(s, State)
-    S = s.pair()[None] if single else s
+    S = np.stack(_state_values(spec, s))[None] if single else s
     if not np.all(np.any(S.reshape(len(S), -1), axis=1)):
         raise ValueError("cannot project the zero state onto the manifold")
     rd = _ray_data(spec, S[:, 0], S[:, 1])
@@ -553,7 +554,7 @@ def fibering_project(spec: ProblemSpec, s, rel_tol: float = 1e-12):
     iterations = 0
     for k in range(len(S)):
         ray = rd.take(k)
-        tk, bracket, its = _project_ray(ray, rel_tol)
+        tk, bracket, its = _project_ray(ray, _FIBERING_RTOL)
         phi_k = ray.phi(tk)
         # roundoff slack: bracket ends coincide with t* when the input is on the manifold
         slack = 1e-9 * (1.0 + abs(phi_k))

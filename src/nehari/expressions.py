@@ -18,7 +18,7 @@ import re
 
 import numpy as np
 
-__all__ = ["ParseError", "parse_expr", "eval_expr", "expr_to_text", "expr_variables"]
+__all__ = ["ParseError", "parse_expr", "eval_expr", "expr_to_text"]
 
 
 class ParseError(ValueError):
@@ -163,22 +163,6 @@ class _Parser:
 def parse_expr(text: str):
     """Parse an expression into its syntax tree."""
     return _Parser(text).parse()
-
-
-def expr_variables(node) -> set:
-    kind = node[0]
-    if kind == "var":
-        return {node[1]}
-    if kind == "num":
-        return set()
-    if kind == "neg":
-        return expr_variables(node[1])
-    if kind == "call":
-        out = set()
-        for a in node[2]:
-            out |= expr_variables(a)
-        return out
-    return expr_variables(node[1]) | expr_variables(node[2])
 
 
 def eval_expr(node, env: dict):

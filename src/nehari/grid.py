@@ -295,19 +295,17 @@ def _forward_difference(a: np.ndarray, axis: int, domain: DomainSpec) -> np.ndar
     return np.diff(a, axis=axis, prepend=0.0, append=0.0)
 
 
-def _gradient_energy(a: np.ndarray, domain: DomainSpec, exact: bool = False):
+def _gradient_energy(a: np.ndarray, domain: DomainSpec):
     """``sum |D+ a|^2 h^N`` with the boundary intervals included on Dirichlet domains.
 
-    Reduces over the trailing grid axes, one value per leading index; the
-    sorted (``exact``) reduction takes a single field.
+    Reduces over the trailing grid axes, one value per leading index.
     """
     vol = domain.cell_volume
     axes = _trailing_axes(a, domain)
-    reduce = _csum if exact else lambda x: np.sum(x, axis=axes)
     total = 0.0
     for axis, h in zip(axes, domain.spacing):
         d = _forward_difference(a, axis, domain)
-        total += reduce(d * d) * vol / (h * h)
+        total += np.sum(d * d, axis=axes) * vol / (h * h)
     return total
 
 
@@ -327,12 +325,9 @@ def h_norm_sq(f: GridFunction, V) -> float:
 
     ``V`` must be nonnegative; negative entries are rejected.
     """
-    Va = _potential_values(V, f.domain)
-    if np.any(Va < 0):
+    if np.any(_potential_values(V, f.domain) < 0):
         raise ValueError("potential must be nonnegative")
-    vol = f.domain.cell_volume
-    return _gradient_energy(f.values, f.domain, exact=True) \
-        + _csum(Va * f.values * f.values) * vol
+    return h_inner(f, f, V)
 
 
 def h_inner(f: GridFunction, g: GridFunction, V) -> float:
@@ -349,7 +344,7 @@ def l2_inner(f: GridFunction, g: GridFunction) -> float:
 
 
 def l2_norm_sq(f: GridFunction) -> float:
-    return _csum(f.values * f.values) * f.domain.cell_volume
+    return l2_inner(f, f)
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -457,8 +452,25 @@ def local_mass_sup(u: GridFunction, v: GridFunction, r: float) -> tuple[float, t
 
 
 # ---------------------------------------------------------------------------
-# file format:  one ASCII header line, then little-endian float64, row-major
+# text records and the grid file format
 # ---------------------------------------------------------------------------
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return "[" + ", ".join(map(_format_value, value)) + "]"
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def _format_record(pairs) -> str:
+    """``name = value`` lines with the names padded to the longest; floats
+    print as ``.17g``, tuples as ``[a, b]``, everything else with ``str``."""
+    pairs = list(pairs)
+    width = max(len(name) for name, _ in pairs)
+    return "".join(f"{name:<{width}} = {_format_value(value)}\n" for name, value in pairs)
+
+
+# grid files: one ASCII header line, then little-endian float64, row-major
 
 _MAGIC = "nehari-grid v1"
 _HEADER_KEYS = ("dim", "kind", "shape", "lengths")

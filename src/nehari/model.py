@@ -64,34 +64,26 @@ class Nonlinearity:
         """The growth exponent (largest power in the sum)."""
         return max(p for _, p in self.terms)
 
-    def f(self, s):
+    def _power_sum(self, s, term):
+        """``sum_j term(a_j, p_j, s)`` over the terms, elementwise in ``s``."""
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         for a, p in self.terms:
-            out += a * np.abs(s) ** (p - 2) * s
+            out += term(a, p, s)
         return out if out.ndim else float(out)
+
+    def f(self, s):
+        return self._power_sum(s, lambda a, p, s: a * np.abs(s) ** (p - 2) * s)
 
     def F(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for a, p in self.terms:
-            out += (a / p) * np.abs(s) ** p
-        return out if out.ndim else float(out)
+        return self._power_sum(s, lambda a, p, s: (a / p) * np.abs(s) ** p)
 
     def f_prime(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for a, p in self.terms:
-            out += a * (p - 1) * np.abs(s) ** (p - 2)
-        return out if out.ndim else float(out)
+        return self._power_sum(s, lambda a, p, s: a * (p - 1) * np.abs(s) ** (p - 2))
 
     def f_times_s(self, s):
         """``f(s) s`` evaluated stably (avoids 0*inf at s=0 for small powers)."""
-        s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
-        for a, p in self.terms:
-            out += a * np.abs(s) ** p
-        return out if out.ndim else float(out)
+        return self._power_sum(s, lambda a, p, s: a * np.abs(s) ** p)
 
 
 @dataclass(frozen=True)

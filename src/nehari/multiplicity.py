@@ -22,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg import eigh
 
 from .grid import DomainSpec, _cell_periods, _roll_cells, _schrodinger_values
 from .model import ProblemSpec
-from .energy import State, _pair_kernel, _ray_data, grad_l2
+from .energy import State, _pair_kernel, _pcg_schrodinger, _ray_data, grad_l2
 from .solver import (
     SolveConfig,
     SolveReport,
@@ -60,33 +59,23 @@ _DEFLATION_SIGMA = 1.0
 # ---------------------------------------------------------------------------
 
 
-def _operator_matrix(domain: DomainSpec, V: np.ndarray) -> scipy.sparse.spmatrix:
-    """Sparse ``-lap_h + V`` on the flattened grid."""
-    mats = []
-    for a in range(domain.dimension):
-        n = domain.shape[a]
-        h2 = domain.spacing[a] ** 2
-        diag = np.full(n, 2.0 / h2)
-        off = np.full(n - 1, -1.0 / h2)
-        m = scipy.sparse.diags([off, diag, off], [-1, 0, 1], format="lil")
-        if domain.periodic:
-            m[0, n - 1] += -1.0 / h2
-            m[n - 1, 0] += -1.0 / h2
-        mats.append(m.tocsr())
-    lap = mats[0]
-    for m in mats[1:]:
-        lap = scipy.sparse.kron(lap, scipy.sparse.eye(m.shape[0]), format="csr") \
-            + scipy.sparse.kron(scipy.sparse.eye(lap.shape[0]), m, format="csr")
-    return lap + scipy.sparse.diags(V.ravel())
-
-
 def _block_eigenpairs(domain: DomainSpec, V: np.ndarray, k: int):
-    A = _operator_matrix(domain, V)
-    n = A.shape[0]
+    """Lowest ``k`` eigenpairs of the stencil ``-lap_h + V``: ``eigh`` of its
+    matrix (the stencil applied to every unit vector) up to 2500 nodes, above
+    that shift-invert Lanczos at zero with conjugate gradients as the inverse."""
+    n = domain.size
     if n <= 2500:
-        vals, vecs = eigh(A.toarray())
+        A = _schrodinger_values(np.eye(n).reshape((n,) + domain.shape), V, domain)
+        vals, vecs = eigh(A.reshape(n, n))
         return vals[:k], vecs[:, :k]
-    vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM")
+
+    def operator(fn):
+        return scipy.sparse.linalg.LinearOperator(
+            (n, n), matvec=lambda x: fn(x.reshape(domain.shape)).ravel(), dtype=float)
+
+    A = operator(lambda a: _schrodinger_values(a, V, domain))
+    inverse = operator(lambda b: _pcg_schrodinger(domain, V, b)[0])
+    vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", OPinv=inverse)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
@@ -162,6 +151,7 @@ def _growth_constant(spec: ProblemSpec) -> float:
 
 
 _ASCENT_STEPS = 200          # accepted steps after which an ascent row stops
+_RAY_DIRS = 20               # random directions per level of the rho_k radius scan
 
 
 def _pnorm_and_grad(X, Bu, Bv, p, vol):
@@ -226,8 +216,7 @@ def _sphere_ascent(X0, Bu, Bv, p, vol):
 
 
 def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
-                         restarts: int = 20, seed: int = 0,
-                         n_ray_dirs: int = 20) -> FountainReport:
+                         restarts: int = 20, seed: int = 0) -> FountainReport:
     """Compute the nested-subspace quantities on the eigenbasis.
 
     ``beta_k`` is the best of ``restarts`` projected ascents over the unit
@@ -284,7 +273,7 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
     # directions of a level evaluated as the rows of one moment pass
     a_check = []
     for k in range(1, k_max + 1):
-        X = np.vstack([np.eye(k), rng.standard_normal((n_ray_dirs, k))])
+        X = np.vstack([np.eye(k), rng.standard_normal((_RAY_DIRS, k))])
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         rays = _ray_data(spec, (X @ all_u[:k]).reshape((-1,) + dom.shape),
                          (X @ all_v[:k]).reshape((-1,) + dom.shape))
@@ -515,19 +504,12 @@ class _DeflatedObjective:
         dist = np.maximum(dist, 1e-150)
         extra = {"dist": dist, "sign": sign, "ip": ip, "shift": shift,
                  "factor": 1.0 + _DEFLATION_SIGMA / dist ** 2}
-        return energy * self._product(extra["factor"]), extra
-
-    @staticmethod
-    def _product(factors: np.ndarray) -> np.ndarray:
-        pi = factors[:, 0]
-        for k in range(1, factors.shape[1]):
-            pi = pi * factors[:, k]
-        return pi
+        return energy * np.prod(extra["factor"], axis=1), extra
 
     def _weights(self, pts):
         """``pi`` and ``J (pi / f_k) (-sigma / d_k^4)`` for every row and known orbit."""
         factors = pts.extra["factor"]
-        pi = self._product(factors)
+        pi = np.prod(factors, axis=1)
         weights = pts.energy[:, None] * (pi[:, None] / factors) \
             * (-_DEFLATION_SIGMA / pts.extra["dist"] ** 4)
         return pi, weights

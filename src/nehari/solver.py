@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import _roll_cells, local_mass_sup, shift
+from .grid import _format_record, _roll_cells, local_mass_sup, shift
 from .model import ProblemSpec
 from .energy import (
     _JOINT_PAIR_NODES,
@@ -92,16 +92,9 @@ class SolveReport:
     status: str
 
     def format_text(self) -> str:
-        return (
-            f"status        = {self.status}\n"
-            f"energy        = {self.energy:.17g}\n"
-            f"grad_residual = {self.grad_residual:.17g}\n"
-            f"xi_residual   = {self.xi_residual:.17g}\n"
-            f"iterations    = {self.iterations}\n"
-            f"start_index   = {self.start_index}\n"
-            f"norm          = {self.norm:.17g}\n"
-            f"rho_estimate  = {self.rho_estimate:.17g}\n"
-        )
+        names = ("status", "energy", "grad_residual", "xi_residual", "iterations",
+                 "start_index", "norm", "rho_estimate")
+        return _format_record((name, getattr(self, name)) for name in names)
 
 
 @dataclass(frozen=True)
@@ -116,13 +109,8 @@ class DecayFit:
     amplitudes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def format_text(self) -> str:
-        return (
-            f"C         = {self.C:.17g}\n"
-            f"alpha     = {self.alpha:.17g}\n"
-            f"r_squared = {self.r_squared:.17g}\n"
-            f"window    = [{self.window[0]:.17g}, {self.window[1]:.17g}]\n"
-            f"n_samples = {self.n_samples}\n"
-        )
+        names = ("C", "alpha", "r_squared", "window", "n_samples")
+        return _format_record((name, getattr(self, name)) for name in names)
 
 
 @dataclass
@@ -190,10 +178,8 @@ def _pair_inner(domain, a: np.ndarray, b: np.ndarray):
 
 
 def _bump_values(domain, center, width):
-    axes = [domain.axis_coordinates(a) for a in range(domain.dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
     d2 = np.zeros(domain.shape)
-    for a, x in enumerate(mesh):
+    for a, x in enumerate(domain.meshgrid()):
         dx = x - center[a]
         if domain.periodic:
             p = domain.lengths[a]
@@ -356,14 +342,10 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
         radial = objective.radial_derivative(pts)
         if radial is not None:
             # retraction kills the ray component; correct the slope by the
-            # implicit change of the fibering scale along the direction
-            bent = radial != 0.0
-            if bent.all():
-                xi_d = -_pair_inner(dom, xi_grad_l2(spec, pts.S), D)
-                slope += -(xi_d / pts.moments.xi_slope()) * radial
-            elif bent.any():
-                xi_d = -_pair_inner(dom, xi_grad_l2(spec, pts.S[bent]), D[bent])
-                slope[bent] += -(xi_d / pts.moments.xi_slope()[bent]) * radial[bent]
+            # implicit change of the fibering scale along the direction (a
+            # row with no radial derivative adds a signed zero)
+            xi_d = -_pair_inner(dom, xi_grad_l2(spec, pts.S), D)
+            slope += -(xi_d / pts.moments.xi_slope()) * radial
 
         # Armijo backtracking per row; the rows still searching try together.
         # Roundoff slack keeps full steps acceptable once the decrease per

@@ -2,14 +2,22 @@
 
 import filecmp
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nehari.grid import load_grid_function
 from nehari.model import validate_potentials
+from nehari.energy import EnergyBreakdown
+from nehari.expressions import expr_to_text, parse_expr
+from nehari.solver import DecayFit, SolveReport
 from nehari.cli import (
+    COMMANDS,
     ConfigError,
+    RunConfig,
+    _CONFIG_SCHEMA,
     build_problem,
     default_config,
     emit_config,
@@ -30,13 +38,129 @@ seed = 11
 """
 
 
-def test_config_round_trip_fixed_point():
-    for kind in ("dirichlet_box", "periodic_torus"):
-        cfg = default_config(kind)
-        text = emit_config(cfg)
-        cfg2 = parse_config(text, cfg.command)
-        assert cfg2 == cfg
-        assert emit_config(cfg2) == text
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+_INTS = st.integers(-10 ** 12, 10 ** 12)
+_EXPRESSIONS = st.one_of(
+    _FLOATS.map(repr),
+    st.builds(lambda fn, var, c: f"{fn}({var})*{c!r} + 1",
+              st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
+              st.sampled_from(["x1", "x2", "x3"]), _FLOATS),
+    st.builds(lambda a, b: f"min(x1, {a!r}) - max(x2/{b!r}, -x3)", _FLOATS, _FLOATS),
+).map(lambda text: expr_to_text(parse_expr(text)))
+_TERMS = st.lists(st.tuples(_FLOATS, _FLOATS), min_size=1, max_size=3).map(tuple)
+_WORDS = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=16)
+
+# a strategy for every field the config schema reads and writes
+_CONFIG_FIELDS = {
+    "kind": st.sampled_from(["dirichlet_box", "periodic_torus"]),
+    "q": _FLOATS, "delta": _FLOATS, "f1": _TERMS, "f2": _TERMS,
+    "v1": _EXPRESSIONS, "v2": _EXPRESSIONS, "lam": _EXPRESSIONS,
+    "init_u": st.none() | _EXPRESSIONS, "init_v": st.none() | _EXPRESSIONS,
+    "max_iters": _INTS, "grad_tol": _FLOATS, "armijo_c1": _FLOATS,
+    "armijo_backtrack": _FLOATS, "starts": _INTS, "seed": _INTS,
+    "recenter_every": _INTS, "target_count": _INTS, "collapse_budget": _INTS,
+    "k_max": _INTS, "out_dir": _WORDS, "label": _WORDS,
+}
+
+
+@st.composite
+def run_configs(draw):
+    axes = draw(st.integers(1, 3))
+    return RunConfig(
+        command=draw(st.sampled_from(COMMANDS)),
+        lengths=tuple(draw(st.lists(_FLOATS, min_size=axes, max_size=axes))),
+        resolution=tuple(draw(st.lists(_INTS, min_size=axes, max_size=axes))),
+        **{name: draw(strategy) for name, strategy in _CONFIG_FIELDS.items()},
+    )
+
+
+def test_config_schema_covers_every_field():
+    schema_fields = [attr for _, _, attr, _, _ in _CONFIG_SCHEMA]
+    assert len(set(schema_fields)) == len(schema_fields)
+    assert set(schema_fields) == {f.name for f in fields(RunConfig)} - {"command"}
+    assert set(schema_fields) == set(_CONFIG_FIELDS) | {"lengths", "resolution"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=run_configs())
+@example(cfg=default_config("dirichlet_box"))
+@example(cfg=default_config("periodic_torus"))
+def test_config_round_trip_fixed_point(cfg):
+    """Every config parses back from its emitted text, which is a fixed point."""
+    text = emit_config(cfg)
+    cfg2 = parse_config(text, cfg.command)
+    assert cfg2 == cfg
+    assert emit_config(cfg2) == text
+
+
+DEFAULT_CONFIG_TEXT = """\
+[problem]
+kind = dirichlet_box
+lengths = 1.0
+resolution = 256
+q = 3.0
+delta = 0.3
+f1 = 1.0:4.0
+f2 = 1.0:4.0
+v1 = "1.0"
+v2 = "1.0"
+lambda = "0.3"
+
+[solve]
+max_iters = 500
+grad_tol = 1e-08
+armijo_c1 = 0.0001
+armijo_backtrack = 0.5
+starts = 5
+seed = 0
+recenter_every = 0
+target_count = 3
+collapse_budget = 6
+k_max = 30
+
+[output]
+out_dir = out
+label = run
+"""
+
+
+def test_emitted_default_config_golden():
+    assert emit_config(default_config()) == DEFAULT_CONFIG_TEXT
+
+
+def test_report_records_golden():
+    """The record texts the artifact checkers parse, byte for byte."""
+    report = SolveReport(energy=0.1 + 0.2, grad_residual=7.5e-09, xi_residual=2.0 ** -1074,
+                         iterations=18, start_index=4, norm=1e22, rho_estimate=-0.0,
+                         status="converged")
+    assert report.format_text() == (
+        "status        = converged\n"
+        "energy        = 0.30000000000000004\n"
+        "grad_residual = 7.4999999999999993e-09\n"
+        "xi_residual   = 4.9406564584124654e-324\n"
+        "iterations    = 18\n"
+        "start_index   = 4\n"
+        "norm          = 1e+22\n"
+        "rho_estimate  = -0\n"
+    )
+    fit = DecayFit(C=1 / 3, alpha=0.712001, r_squared=0.9999999999,
+                   window=(1.5e-12, 0.0015), n_samples=27386)
+    assert fit.format_text() == (
+        "C         = 0.33333333333333331\n"
+        "alpha     = 0.712001\n"
+        "r_squared = 0.99999999989999999\n"
+        "window    = [1.5000000000000001e-12, 0.0015]\n"
+        "n_samples = 27386\n"
+    )
+    parts = EnergyBreakdown(quad=2 / 3, cross=-1e-300, fpart=123456789.125,
+                            qpart=5e-324, total=np.float64(0.1))
+    assert parts.format_text() == (
+        "quad  = 0.66666666666666663\n"
+        "cross = -1e-300\n"
+        "fpart = 123456789.125\n"
+        "qpart = 4.9406564584124654e-324\n"
+        "total = 0.10000000000000001\n"
+    )
 
 
 def test_config_parses_expressions_and_terms():
@@ -71,6 +195,11 @@ def test_config_errors():
         parse_config("[problem]\nlengths = 1,2\nresolution = 8\n")
     with pytest.raises(ConfigError):
         parse_config("key = 1\n")
+    # a repeated key, also across repeated headers, names its line and key
+    with pytest.raises(ConfigError, match=r"line 3: .*'seed'"):
+        parse_config("[solve]\nseed = 1\nseed = 7\n")
+    with pytest.raises(ConfigError, match=r"line 5: .*'q'"):
+        parse_config("[problem]\nq = 3\n[solve]\n[problem]\nq = 4\n")
 
 
 def test_nonperiodic_potential_rejected(tmp_path, capsys):
@@ -299,9 +428,10 @@ def test_missing_config_file(tmp_path, capsys):
     ("ground", "grad_tol = nan"),
     ("ground", "grad_tol = inf"),
     ("fountain", "k_max = 0"),
+    ("ground", "seed = 1\nseed = 7"),
 ])
 def test_out_of_range_setting_exit_code(tmp_path, capsys, command, setting):
-    """An out-of-range [solve] value is a config error: exit 2, one line."""
+    """An out-of-range or repeated [solve] value is a config error: exit 2, one line."""
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"[problem]\nresolution = 64\n\n[solve]\n{setting}\n")
     assert main([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 2

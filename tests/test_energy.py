@@ -445,3 +445,31 @@ def test_projection_next_to_the_manifold_reaches_roundoff(bounded_spec, seed, ep
     reference = _bisect_root(ray, lo, hi)
     assert abs(t - reference) <= 1e-14 * reference
     assert iterations <= 8
+
+
+_STATE_FUNCTIONS = {
+    "energy": lambda spec, s: energy(spec, s),
+    "norm_E": lambda spec, s: norm_E(spec, s),
+    "coercive_form": lambda spec, s: coercive_form(spec, s),
+    "nehari_xi": lambda spec, s: nehari_xi(spec, s),
+    "nehari_xi_slope": lambda spec, s: nehari_xi_slope(spec, s),
+    "fibering_value": lambda spec, s: fibering_value(spec, s, 1.0),
+    "fibering_slope": lambda spec, s: fibering_slope(spec, s, 1.0),
+    "fibering_slope_nehari_form": lambda spec, s: fibering_slope_nehari_form(spec, s, 1.0),
+    "grad_l2": lambda spec, s: grad_l2(spec, s),
+    "xi_grad_l2": lambda spec, s: xi_grad_l2(spec, s),
+    "grad_precond": lambda spec, s: grad_precond(spec, s),
+    "grad_precond_given_g": lambda spec, s: grad_precond(
+        spec, State.from_values(spec.domain, np.ones(64), np.ones(64)), g=s),
+    "fibering_project": lambda spec, s: fibering_project(spec, s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STATE_FUNCTIONS))
+def test_state_from_another_domain_is_rejected(name):
+    """A state is evaluated only on its own domain, even when the shapes agree."""
+    spec = make_spec(DomainSpec.dirichlet_box(1.0, 64))
+    other = DomainSpec.dirichlet_box(2.0, 64)
+    s = State.from_values(other, np.ones(64), np.ones(64))
+    with pytest.raises(ValueError, match="problem domain"):
+        _STATE_FUNCTIONS[name](spec, s)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nehari.grid import DomainSpec, _roll_cells, shift
+from nehari.grid import DomainSpec, _roll_cells, _schrodinger_values, shift
 from nehari.energy import State, _ray_data, e_inner, norm_E
 from nehari.solver import (
     SolveConfig,
@@ -60,6 +60,29 @@ def test_eigenbasis_orthonormal(bounded_2d_spec):
     G = np.array([[e_inner(bounded_2d_spec, si, sj) for _, sj in pairs]
                   for _, si in pairs])
     assert np.max(np.abs(G - np.eye(12))) <= 1e-10
+
+
+def test_eigenbasis_above_the_dense_limit():
+    """Grids above 2500 nodes take the shift-invert Lanczos branch."""
+    dom = DomainSpec.dirichlet_box((1.0, 1.0), (52, 52))
+    basis = eigenbasis(make_spec(dom, V1=1.0, V2=2.0), 10)
+    axis = [(4.0 / h ** 2) * np.sin(np.pi * np.arange(1, n + 1) / (2.0 * (n + 1))) ** 2
+            for n, h in zip(dom.shape, dom.spacing)]
+    lap = np.add.outer(axis[0], axis[1]).ravel()
+    exact = np.sort(np.concatenate([lap + 1.0, lap + 2.0]))[:10]
+    found = np.array([lam for lam, _ in basis])
+    assert np.max(np.abs(found - exact) / exact) <= 1e-12
+
+    # varying potential: accurate pairs, orthonormal in the block inner product
+    dom = DomainSpec.dirichlet_box((1.0, 1.0), (56, 56))
+    spec = make_spec(dom, V1=lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * y, V2=2.0)
+    basis = eigenbasis(spec, 10)
+    for lam, s in basis:
+        e, V = (s.u, spec.V1) if np.any(s.u.values) else (s.v, spec.V2)
+        r = _schrodinger_values(e.values, V.values, dom) - lam * e.values
+        assert np.linalg.norm(r) <= 1e-9 * lam * np.linalg.norm(e.values)
+    gram = np.array([[e_inner(spec, a, b) for _, b in basis] for _, a in basis])
+    assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-9
 
 
 def test_eigenbasis_guards(small_bounded_spec):
