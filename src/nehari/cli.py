@@ -51,9 +51,6 @@ __all__ = [
     "main",
 ]
 
-COMMANDS = ("validate", "ground", "multiplicity", "fountain", "fibering", "decay")
-
-
 class ConfigError(ValueError):
     pass
 
@@ -397,6 +394,7 @@ _DISPATCH = {
     "fibering": _cmd_fibering,
     "decay": _cmd_decay,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(cfg: RunConfig) -> int:

@@ -9,11 +9,15 @@ binary operators associate left):
     atom   := NUMBER | NAME '(' expr (',' expr)* ')' | VAR | '(' expr ')'
 
 Variables are ``x1``..``x3``; functions are ``sin cos exp sqrt abs`` (one
-argument) and ``min max`` (two).  Parse errors carry the byte offset.
+argument) and ``min max`` (two).  Parse errors carry the byte offset.  An
+expression nested more than ``_MAX_DEPTH`` levels deep (every operator,
+call and pair of parentheses is a level) is a parse error, so parsing,
+evaluation and printing never recurse deeper than that.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
@@ -39,6 +43,10 @@ _FUNCTIONS = {
     "max": (2, np.maximum),
 }
 _VARIABLES = ("x1", "x2", "x3")
+_BINARY = ({"+": "add", "-": "sub"}, {"*": "mul", "/": "div"})   # by rising precedence
+_ARITHMETIC = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+               "div": operator.truediv}
+_MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -57,12 +65,9 @@ def _tokenize(text: str):
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num")), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        lexeme = m.group(kind)
+        tokens.append((kind, float(lexeme) if kind == "num" else lexeme, m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -70,9 +75,9 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0   # levels the parser is inside of, counted on the way down
 
     def peek(self):
         return self.tokens[self.i]
@@ -88,76 +93,82 @@ class _Parser:
             raise ParseError(f"expected {op!r}", pos)
         return self.advance()
 
+    def nested(self, depth: int, pos: int) -> int:
+        if depth > _MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {_MAX_DEPTH} levels", pos)
+        return depth
+
+    def inner(self, parse, pos: int):
+        """``parse()`` one level further in, as ``(node, tree height)``."""
+        self.depth = self.nested(self.depth + 1, pos)
+        node, height = parse()
+        self.depth -= 1
+        return node, self.nested(height + 1, pos)
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {val!r}", pos)
         return node
 
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                node = ("add" if val == "+" else "sub", node, rhs)
-            else:
-                return node
+    # each rule returns its syntax tree and the tree's height
 
-    def term(self):
-        node = self.factor()
+    def expr(self, level: int = 0):
+        """A left-associative chain of the operators of ``_BINARY[level]``."""
+        operand = self.factor if level + 1 == len(_BINARY) else lambda: self.expr(level + 1)
+        node, height = operand()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = ("mul" if val == "*" else "div", node, rhs)
-            else:
-                return node
+            kind, val, pos = self.peek()
+            if kind != "op" or val not in _BINARY[level]:
+                return node, height
+            self.advance()
+            rhs, h = operand()
+            node, height = (_BINARY[level][val], node, rhs), self.nested(max(height, h) + 1, pos)
 
     def factor(self):
-        kind, val, _ = self.peek()
+        kind, val, pos = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return ("neg", self.factor())
+            node, height = self.inner(self.factor, pos)
+            return ("neg", node), height
         return self.atom()
 
     def atom(self):
         kind, val, pos = self.advance()
         if kind == "num":
-            return ("num", val)
+            return ("num", val), 1
         if kind == "name":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
                 if val not in _FUNCTIONS:
                     raise ParseError(f"unknown function {val!r}", pos)
                 self.advance()
-                args = [self.expr()]
-                while True:
-                    k2, v2, p2 = self.peek()
-                    if k2 == "op" and v2 == ",":
-                        self.advance()
-                        args.append(self.expr())
-                    elif k2 == "op" and v2 == ")":
-                        self.advance()
-                        break
-                    else:
-                        raise ParseError("expected ',' or ')' in argument list", p2)
+                args, height = self.inner(self.arguments, pos)
                 arity = _FUNCTIONS[val][0]
                 if len(args) != arity:
                     raise ParseError(
                         f"{val} takes {arity} argument(s), got {len(args)}", pos)
-                return ("call", val, args)
+                return ("call", val, args), height
             if val in _VARIABLES:
-                return ("var", val)
+                return ("var", val), 1
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
-            node = self.expr()
+            node, height = self.inner(self.expr, pos)
             self.expect_op(")")
-            return node
+            return node, height
         raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+
+    def arguments(self):
+        """A call's arguments through its closing ``)``, and their greatest height."""
+        args = [self.expr()]
+        while True:
+            kind, val, pos = self.advance()
+            if (kind, val) == ("op", ")"):
+                return [node for node, _ in args], max(h for _, h in args)
+            if (kind, val) != ("op", ","):
+                raise ParseError("expected ',' or ')' in argument list", pos)
+            args.append(self.expr())
 
 
 def parse_expr(text: str):
@@ -191,14 +202,8 @@ def _eval(node, env):
         return env[node[1]]
     if kind == "neg":
         return -_eval(node[1], env)
-    if kind == "add":
-        return _eval(node[1], env) + _eval(node[2], env)
-    if kind == "sub":
-        return _eval(node[1], env) - _eval(node[2], env)
-    if kind == "mul":
-        return _eval(node[1], env) * _eval(node[2], env)
-    if kind == "div":
-        return _eval(node[1], env) / _eval(node[2], env)
+    if kind in _ARITHMETIC:
+        return _ARITHMETIC[kind](_eval(node[1], env), _eval(node[2], env))
     fn = _FUNCTIONS[node[1]][1]
     return fn(*[_eval(a, env) for a in node[2]])
 

@@ -27,7 +27,7 @@ from scipy.linalg import eigh
 
 from .grid import DomainSpec, _cell_periods, _roll_cells, _schrodinger_values
 from .model import ProblemSpec
-from .energy import State, _pair_kernel, _pcg_schrodinger, _ray_data, grad_l2
+from .energy import State, _pair_kernel, _pcg_schrodinger, _ray_data, grad_l2, xi_grad_l2
 from .solver import (
     SolveConfig,
     SolveReport,
@@ -62,7 +62,8 @@ _DEFLATION_SIGMA = 1.0
 def _block_eigenpairs(domain: DomainSpec, V: np.ndarray, k: int):
     """Lowest ``k`` eigenpairs of the stencil ``-lap_h + V``: ``eigh`` of its
     matrix (the stencil applied to every unit vector) up to 2500 nodes, above
-    that shift-invert Lanczos at zero with conjugate gradients as the inverse."""
+    that shift-invert Lanczos at zero with conjugate gradients as the inverse,
+    from a fixed start vector."""
     n = domain.size
     if n <= 2500:
         A = _schrodinger_values(np.eye(n).reshape((n,) + domain.shape), V, domain)
@@ -75,7 +76,10 @@ def _block_eigenpairs(domain: DomainSpec, V: np.ndarray, k: int):
 
     A = operator(lambda a: _schrodinger_values(a, V, domain))
     inverse = operator(lambda b: _pcg_schrodinger(domain, V, b)[0])
-    vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", OPinv=inverse)
+    # a fixed random start keeps the result independent of earlier calls; a
+    # constant one would miss every mode odd under a mirror of the box
+    v0 = np.random.default_rng(0).standard_normal(n)
+    vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", OPinv=inverse, v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
@@ -491,7 +495,7 @@ class _DeflatedObjective:
     with its value, from the block operator applied to the orbits once per
     objective; its per-row data (distance, sign, cell shift and
     realized inner product for each known orbit) is where ``grad`` and
-    ``radial_derivative`` read them.
+    ``slope`` read them.
     """
 
     def __init__(self, spec: ProblemSpec, known: list[State]):
@@ -527,13 +531,19 @@ class _DeflatedObjective:
             G += (weights[:, k] * 2.0).reshape(rows) * A
         return G
 
-    def radial_derivative(self, pts) -> np.ndarray:
+    def slope(self, pts, G: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Armijo slope of the value along ``-D``: ``-<G, D>`` corrected by
+        the implicit change of the fibering scale along ``D``, since the
+        retraction kills the ray component (a row with zero radial
+        derivative adds a signed zero)."""
+        dom = self.spec.domain
         pi, weights = self._weights(pts)
-        total = pi * pts.moments.xi()
+        radial = pi * pts.moments.xi()
         nsq = pts.moments.norm_sq
         for k in range(len(self.known)):
-            total = total + weights[:, k] * 2.0 * (nsq - pts.extra["ip"][:, k])
-        return total
+            radial = radial + weights[:, k] * 2.0 * (nsq - pts.extra["ip"][:, k])
+        xi_d = -_pair_inner(dom, xi_grad_l2(self.spec, pts.S), D)
+        return -_pair_inner(dom, G, D) - xi_d / pts.moments.xi_slope() * radial
 
 
 def deflated_search(spec: ProblemSpec, config: SolveConfig,

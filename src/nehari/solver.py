@@ -33,7 +33,6 @@ from .energy import (
     grad_l2,
     nehari_xi,
     norm_E,
-    xi_grad_l2,
 )
 
 __all__ = [
@@ -136,21 +135,20 @@ class _Points:
                        self.value[rows], {k: a[rows] for k, a in self.extra.items()},
                        None if self.scale is None else self.scale[rows])
 
-    @staticmethod
-    def join(parts: list["_Points"]) -> "_Points":
-        """The rows of several point sets, one after the other."""
-        return _Points(
-            np.concatenate([p.S for p in parts]),
-            replace(parts[0].moments, m=np.concatenate([p.moments.m for p in parts])),
-            np.concatenate([p.energy for p in parts]),
-            np.concatenate([p.value for p in parts]),
-            {k: np.concatenate([p.extra[k] for p in parts]) for k in parts[0].extra},
-            np.concatenate([p.scale for p in parts]),
-        )
+    def put(self, rows, new: "_Points") -> None:
+        """Overwrite ``rows`` with the points of ``new``, in order."""
+        self.S[rows] = new.S
+        self.moments.m[rows] = new.moments.m
+        self.moments = replace(self.moments, m=self.moments.m)   # drops cached columns
+        self.energy[rows] = new.energy
+        self.value[rows] = new.value
+        for k, a in self.extra.items():
+            a[rows] = new.extra[k]
+        self.scale[rows] = new.scale
 
 
 class _EnergyObjective:
-    """Plain energy; ray-critical on the manifold, so no radial correction."""
+    """Plain energy; ray-critical on the manifold, so its slope has no radial term."""
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
@@ -161,8 +159,9 @@ class _EnergyObjective:
     def grad(self, pts: _Points) -> np.ndarray:
         return grad_l2(self.spec, pts.S)
 
-    def radial_derivative(self, pts: _Points) -> np.ndarray | None:
-        return None
+    def slope(self, pts: _Points, G: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Armijo slope of the value along ``-D``, row by row."""
+        return -_pair_inner(self.spec.domain, G, D)
 
 
 def _pair_inner(domain, a: np.ndarray, b: np.ndarray):
@@ -231,13 +230,6 @@ def _require_finite(x: np.ndarray, what: str, iterate: int, starts, rows) -> Non
         raise RuntimeError(f"non-finite {what} at iterate {iterate} of start {starts[bad]}")
 
 
-def _filter_directions(D: np.ndarray, filters: list) -> None:
-    """Apply each row's direction filter in place (``None`` keeps the row)."""
-    for k, filt in enumerate(filters):
-        if filt is not None:
-            D[k:k + 1] = filt(D[k:k + 1])
-
-
 def _spectral_steps(domain, pts: _Points, G: np.ndarray, D: np.ndarray, memory) -> np.ndarray:
     """First trial step of each row: the Barzilai-Borwein (BB2) step
     ``<ds, dg> / <dd, dg>`` in the preconditioned metric, or 1.
@@ -282,8 +274,9 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
     evaluated once: the objective reads its value from the projection that
     produced the point, and the norm and xi-slope come from its moments.
     Each row's backtracking starts at its spectral step (``_spectral_steps``)
-    and the row stalls when no step above the float granularity of its
-    point passes the Armijo test.
+    against the objective's Armijo slope (``objective.slope``); an accepted
+    trial overwrites its row, and the row stalls when no step above the
+    float granularity of its point passes the Armijo test.
     A non-finite objective value or residual raises ``RuntimeError``.
     Rows descend in batches of at most ``_JOINT_PAIR_NODES`` nodes, one row
     at least.
@@ -298,7 +291,6 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
                           filters and filters[i:i + batch], trace and trace[i:i + batch])
                  for i in range(0, n_rows, batch)]
         return [r for reps, _ in parts for r in reps], np.concatenate([f for _, f in parts])
-    filtered = filters is not None and any(f is not None for f in filters)
     c1, back = config.armijo
     status = ["max_iters"] * n_rows
     iterations = np.zeros(n_rows, dtype=int)
@@ -336,23 +328,18 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
                 memory = tuple(a[keep] for a in memory)
 
         D = _precondition(spec, G)
-        if filtered:
-            _filter_directions(D, [filters[r] for r in idx])
-        slope = -_pair_inner(dom, G, D)
-        radial = objective.radial_derivative(pts)
-        if radial is not None:
-            # retraction kills the ray component; correct the slope by the
-            # implicit change of the fibering scale along the direction (a
-            # row with no radial derivative adds a signed zero)
-            xi_d = -_pair_inner(dom, xi_grad_l2(spec, pts.S), D)
-            slope += -(xi_d / pts.moments.xi_slope()) * radial
+        for k, r in enumerate(idx if filters else ()):
+            if filters[r] is not None:   # the row's direction filter, in place
+                D[k:k + 1] = filters[r](D[k:k + 1])
+        slope = objective.slope(pts, G, D)
 
-        # Armijo backtracking per row; the rows still searching try together.
-        # Roundoff slack keeps full steps acceptable once the decrease per
-        # step falls below float granularity of the energy.  A row stalls
-        # once its step falls below float granularity of its point: such a
-        # trial is the point itself, and accepting it by the slack would
-        # repeat the same iterate up to max_iters
+        # Armijo backtracking per row; the rows still searching try together,
+        # and an accepted trial overwrites its row.  Roundoff slack keeps full
+        # steps acceptable once the decrease per step falls below float
+        # granularity of the energy.  A row stalls once its step falls below
+        # float granularity of its point: such a trial is the point itself,
+        # and accepting it by the slack would repeat the same iterate up to
+        # max_iters
         n = len(idx)
         fuzz = _FUZZ * (np.abs(pts.value) + 1.0)
         alpha = _spectral_steps(dom, pts, G, D, memory)
@@ -360,7 +347,7 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
         grain = np.finfo(float).eps * np.abs(pts.S).reshape(n, -1).max(axis=1)
         reach = np.abs(D).reshape(n, -1).max(axis=1)
         searching = np.flatnonzero(slope < 0.0)
-        moved, parts = [], []
+        stop = np.ones(n, dtype=bool)   # the rows no trial has moved
         for _ in range(_MAX_BACKTRACKS):
             if not searching.size:
                 break
@@ -375,34 +362,24 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
                 better = cand.value <= (pts.value[tried] + c1 * alpha[tried] * slope[tried]
                                         + fuzz[tried])
                 if better.any():
-                    moved.append(tried[better])
-                    parts.append(cand if better.all() else cand.take(better))
+                    pts.put(tried[better], cand if better.all() else cand.take(better))
+                    stop[tried[better]] = False
                 ok[nonzero] = better
             alpha[searching[~ok]] *= back
             searching = searching[~ok]
             searching = searching[alpha[searching] * reach[searching] > grain[searching]]
+        trial = cand = None   # release the search's arrays before the next gradient
 
-        if len(parts) == 1:
-            pos, new = moved[0], parts[0]
-        elif parts:
-            pos = np.concatenate(moved)
-            order = np.argsort(pos)
-            pos, new = pos[order], _Points.join(parts).take(order)
-        else:
-            pos, new = np.zeros(0, dtype=int), None
-        if pos.size < n:
-            stalled = np.ones(n, dtype=bool)
-            stalled[pos] = False
-            for r in idx[stalled]:
-                status[r] = "stalled"
-            if new is None:
-                finished.append((idx, pts.S))
-                break
-            finished.append((idx[stalled], pts.S[stalled]))
-            idx = idx[pos]
-            G, D = G[pos], D[pos]
-        memory = (G, D, alpha[pos])
-        pts = new
+        for r in idx[stop]:
+            status[r] = "stalled"
+        if stop.all():
+            finished.append((idx, pts.S))
+            break
+        if stop.any():
+            finished.append((idx[stop], pts.S[stop]))
+            keep = ~stop
+            idx, pts, G, D, alpha = idx[keep], pts.take(keep), G[keep], D[keep], alpha[keep]
+        memory = (G, D, alpha)
         iterations[idx] = it + 1
         if (dom.periodic and config.recenter_every
                 and (it + 1) % config.recenter_every == 0):

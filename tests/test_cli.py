@@ -2,7 +2,8 @@
 
 import filecmp
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +201,14 @@ def test_config_errors():
         parse_config("[solve]\nseed = 1\nseed = 7\n")
     with pytest.raises(ConfigError, match=r"line 5: .*'q'"):
         parse_config("[problem]\nq = 3\n[solve]\n[problem]\nq = 4\n")
+
+
+def test_readme_config_example_parses():
+    """The README's config example parses as written, to the defaults of a
+    bounded run plus its initial guess."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert parse_config(block) == replace(RunConfig(), init_u="sin(3.141592653589793*x1)")
 
 
 def test_nonperiodic_potential_rejected(tmp_path, capsys):
@@ -419,6 +428,17 @@ def test_fountain_deterministic_artifacts(tmp_path):
 def test_missing_config_file(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["(" * 1200 + "x1" + ")" * 1200, "-" * 990 + "1"])
+def test_deeply_nested_expression_exit_code(tmp_path, capsys, value):
+    """An expression nested past the parser's depth bound is a config error
+    at a byte offset, not a recursion failure: exit 2, one line."""
+    cfg_file = tmp_path / "deep.cfg"
+    cfg_file.write_text(f'[problem]\nv1 = "{value}"\n')
+    assert main(["validate", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "(at byte " in err
 
 
 @pytest.mark.parametrize("command, setting", [

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nehari.expressions import ParseError, eval_expr, expr_to_text, parse_expr
+from nehari.expressions import _MAX_DEPTH, ParseError, eval_expr, expr_to_text, parse_expr
 
 # hand-computable evaluation table (expression, bindings, expected value)
 CASES = [
@@ -141,6 +141,22 @@ def test_parse_error_carries_offset():
         parse_expr("1 + bogus")
     assert err.value.position == 4
     assert "byte 4" in str(err.value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: "-" * (n - 1) + "x1",                      # unary minus chain
+    lambda n: "(" * (n - 1) + "x1" + ")" * (n - 1),      # parentheses
+    lambda n: "sin(" * (n - 1) + "x1" + ")" * (n - 1),   # calls
+    lambda n: " + ".join(["x1"] * n),                    # left-leaning sum
+])
+def test_nesting_depth_bound(build):
+    """Nesting up to ``_MAX_DEPTH`` levels parses, evaluates and prints;
+    one level more is a parse error at a byte offset."""
+    ast = parse_expr(build(_MAX_DEPTH))
+    assert parse_expr(expr_to_text(ast)) == ast
+    assert np.isfinite(eval_expr(ast, {"x1": 0.5}))
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_expr(build(_MAX_DEPTH + 1))
 
 
 def test_array_evaluation_broadcasts():

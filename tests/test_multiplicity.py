@@ -8,19 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nehari.grid import DomainSpec, _roll_cells, _schrodinger_values, shift
-from nehari.energy import State, _ray_data, e_inner, norm_E
+from nehari.energy import State, _precondition, _ray_data, e_inner, norm_E
 from nehari.solver import (
     SolveConfig,
     _descend,
     _EnergyObjective,
     _pair_inner,
     _Points,
+    _evaluate,
     find_ground_state,
     initial_states,
 )
 from nehari.multiplicity import (
     SolutionSet,
     _DeflatedObjective,
+    _block_eigenpairs,
     _symmetry_filters,
     _pnorm_and_grad,
     _sphere_ascent,
@@ -85,6 +87,15 @@ def test_eigenbasis_above_the_dense_limit():
     assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-9
 
 
+def test_eigenbasis_above_the_dense_limit_repeats_bitwise():
+    """The Lanczos branch starts from a fixed vector, so a second call in the
+    same process returns bitwise-equal eigenvalues and eigenvectors."""
+    dom = DomainSpec.dirichlet_box((1.0, 1.0), (56, 56))
+    V = np.ones(dom.shape)
+    (vals1, vecs1), (vals2, vecs2) = (_block_eigenpairs(dom, V, 10) for _ in range(2))
+    assert np.array_equal(vals1, vals2) and np.array_equal(vecs1, vecs2)
+
+
 def test_eigenbasis_guards(small_bounded_spec):
     with pytest.raises(ValueError):
         eigenbasis(small_bounded_spec, 1000)   # more than 2n pairs
@@ -102,15 +113,28 @@ def test_orbit_distance_quotients(periodic_spec_1d):
     assert orbit_distance(spec, s, s.scaled(-1.0)) <= 1e-7 * norm_E(spec, s)
 
 
-def test_orbit_distance_pseudometric(periodic_spec_1d, small_bounded_spec):
-    rng = np.random.default_rng(1)
-    for spec in (periodic_spec_1d, small_bounded_spec):
-        for _ in range(5):
-            a, b, c = (random_state(spec, rng) for _ in range(3))
-            dab = orbit_distance(spec, a, b)
-            dba = orbit_distance(spec, b, a)
-            assert abs(dab - dba) <= 1e-9 * (dab + 1.0)
-            assert orbit_distance(spec, a, c) <= dab + orbit_distance(spec, b, c) + 1e-9
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), periodic=st.booleans(), cell=st.integers(0, 7),
+       sign=st.sampled_from([1.0, -1.0]), move_first=st.booleans())
+def test_orbit_distance_pseudometric(periodic_spec_1d, small_bounded_spec, seed, periodic,
+                                     cell, sign, move_first):
+    """On random states the orbit distance is symmetric, obeys the triangle
+    inequality, and does not see a sign flip and cell shift of either
+    argument."""
+    spec = periodic_spec_1d if periodic else small_bounded_spec
+    dom = spec.domain
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_state(spec, rng) for _ in range(3))
+    dab = orbit_distance(spec, a, b)
+    dba = orbit_distance(spec, b, a)
+    assert abs(dab - dba) <= 1e-9 * (dab + 1.0)
+    assert orbit_distance(spec, a, c) <= dab + orbit_distance(spec, b, c) + 1e-9
+
+    z = (cell,) if periodic else ()
+    pair = (a if move_first else b).pair()
+    moved = State.from_pair(dom, sign * _roll_cells(pair, z, dom))
+    d = orbit_distance(spec, moved, b) if move_first else orbit_distance(spec, a, moved)
+    assert abs(d - dab) <= 1e-12 * dab
 
 
 def test_orbit_distance_bounded_sign_quotient(small_bounded_spec):
@@ -388,6 +412,28 @@ def test_deflated_gradient_matches_central_differences(request, spec_name):
         minus = _unprojected_points(objective, S - h * D).value
         expected = _pair_inner(dom, G, D)
         assert np.allclose((plus - minus) / (2.0 * h), expected, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("spec_name", ["small_bounded_spec", "periodic_spec_1d"])
+@pytest.mark.parametrize("deflated", [False, True])
+def test_armijo_slope_is_the_retracted_derivative(request, spec_name, deflated):
+    """Each objective's ``slope`` at manifold points is the derivative of
+    its value along the retracted path ``alpha -> P(s - alpha D)`` at 0, the
+    slope the Armijo test of the descent compares against."""
+    spec = request.getfixturevalue(spec_name)
+    dom = spec.domain
+    bumps = np.stack([s.pair() for s in initial_states(spec, SolveConfig(seed=14, starts=4))])
+    objective = (_DeflatedObjective(spec, [State.from_pair(dom, bumps[0])]) if deflated
+                 else _EnergyObjective(spec))
+    pts = _evaluate(spec, objective, bumps[1:])
+    G = objective.grad(pts)
+    rng = np.random.default_rng(15)
+    h = 1e-6
+    for D in (_precondition(spec, G), rng.standard_normal(pts.S.shape)):
+        minus = _evaluate(spec, objective, pts.S - h * D).value
+        plus = _evaluate(spec, objective, pts.S + h * D).value
+        expected = (minus - plus) / (2.0 * h)
+        assert np.allclose(objective.slope(pts, G, D), expected, rtol=1e-6, atol=0.0)
 
 
 @lru_cache(maxsize=None)
