@@ -64,14 +64,25 @@ from .multiplicity import (
     find_distinct_solutions,
 )
 from .expressions import ParseError, parse_expr, eval_expr, expr_to_text
-from .cli import (
-    RunConfig,
-    parse_config,
-    emit_config,
-    build_problem,
-    default_config,
-    default_bounded_spec,
-    default_periodic_spec,
-)
 
 __version__ = "0.1.0"
+
+# Names of ``nehari.cli`` resolve on first access (PEP 562): importing the
+# package must not import ``nehari.cli``, or ``python -m nehari.cli`` warns
+# that the module it is about to run is already in ``sys.modules``.
+_CLI_NAMES = frozenset({
+    "RunConfig",
+    "parse_config",
+    "emit_config",
+    "build_problem",
+    "default_config",
+    "default_bounded_spec",
+    "default_periodic_spec",
+})
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,11 +19,12 @@ plus a scalar safeguarded Newton iteration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.fft
+from numpy.fft import irfftn, rfft, rfftn
 
 from .grid import (
     DomainSpec,
@@ -310,21 +311,58 @@ def _shift_symbol(domain: DomainSpec) -> np.ndarray:
     return lam
 
 
+@lru_cache(maxsize=64)
+def _inverse_norm(domain: DomainSpec) -> float:
+    """pocketfft's inverse norm factor ``1/N``, with ``N`` the product of the
+    transform lengths (``2 (n + 1)`` per box axis), rounded from long double:
+    for some ``N`` (5462, for one) it differs from ``1.0 / N`` in the last bit."""
+    lengths = domain.shape if domain.periodic else [2 * n + 2 for n in domain.shape]
+    return float(1 / np.longdouble(math.prod(lengths)))
+
+
+def _dst1(a: np.ndarray, axis: int, scale: float = 1.0) -> np.ndarray:
+    """Unnormalized DST-I of ``a`` along ``axis``, times ``scale``.
+
+    The DST is minus the imaginary part of the real FFT of the odd extension
+    ``[0, a, 0, -a[::-1]]`` (length ``2 (n + 1)``).  This is pocketfft's own
+    route, and ``scale`` multiplies the output as pocketfft applies a norm
+    factor, so the result equals ``scipy.fft.dst(a, type=1)`` bit for bit.
+    """
+    n = a.shape[axis]
+    a = a.swapaxes(axis, -1)
+    ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
+    ext[..., 1:n + 1] = a
+    np.negative(a[..., ::-1], out=ext[..., n + 2:])
+    return np.multiply(rfft(ext).imag[..., 1:n + 1], -scale).swapaxes(axis, -1)
+
+
 def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Exact solve of ``(-lap_h + c) g = rhs`` by fast sine/Fourier transforms.
 
     ``rhs`` holds one right-hand side per entry of its single leading axis,
-    and ``shifts`` the shift ``c`` of each.
+    and ``shifts`` the shift ``c`` of each.  The result equals scipy's
+    ``idstn(dstn(rhs, type=1) / symbol, type=1)`` (``irfftn``/``rfftn`` on a
+    torus) bit for bit: the axes are transformed in scipy's order and the
+    inverse is scaled once, by the product of the transform lengths.
     """
     axes = _trailing_axes(rhs, domain)
     symbol = _shift_symbol(domain) + shifts.reshape((-1,) + (1,) * domain.dimension)
     if domain.periodic:
-        coeff = scipy.fft.rfftn(rhs, axes=axes)
+        # numpy takes the complex axes last to first, scipy first to last
+        coeff = rfftn(rhs, axes=axes[-2::-1] + axes[-1:])
         coeff /= symbol
-        return scipy.fft.irfftn(coeff, s=domain.shape, axes=axes)
-    coeff = scipy.fft.dstn(rhs, type=1, axes=axes)
+        out = irfftn(coeff, s=domain.shape, axes=axes, norm="forward")
+        out *= _inverse_norm(domain)
+        return out
+    coeff = rhs
+    for a in axes:
+        coeff = _dst1(coeff, a)
     coeff /= symbol
-    return scipy.fft.idstn(coeff, type=1, axes=axes)
+    scale = _inverse_norm(domain)
+    for a in axes:
+        coeff = _dst1(coeff, a, scale)
+        scale = 1.0   # pocketfft scales the first axis only
+    return coeff
 
 
 _PCG_RTOL = 1e-10

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse.linalg
-from scipy.linalg import eigh
 
 from .grid import DomainSpec, _cell_periods, _roll_cells, _schrodinger_values
 from .model import ProblemSpec
@@ -63,15 +61,19 @@ def _block_eigenpairs(domain: DomainSpec, V: np.ndarray, k: int):
     """Lowest ``k`` eigenpairs of the stencil ``-lap_h + V``: ``eigh`` of its
     matrix (the stencil applied to every unit vector) up to 2500 nodes, above
     that shift-invert Lanczos at zero with conjugate gradients as the inverse,
-    from a fixed start vector."""
+    from a fixed start vector.  scipy is imported here, not at module level,
+    so that the commands that never call the eigenbasis do not load it."""
     n = domain.size
     if n <= 2500:
+        from scipy.linalg import eigh
+
         A = _schrodinger_values(np.eye(n).reshape((n,) + domain.shape), V, domain)
         vals, vecs = eigh(A.reshape(n, n))
         return vals[:k], vecs[:, :k]
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
     def operator(fn):
-        return scipy.sparse.linalg.LinearOperator(
+        return LinearOperator(
             (n, n), matvec=lambda x: fn(x.reshape(domain.shape)).ravel(), dtype=float)
 
     A = operator(lambda a: _schrodinger_values(a, V, domain))
@@ -79,7 +81,7 @@ def _block_eigenpairs(domain: DomainSpec, V: np.ndarray, k: int):
     # a fixed random start keeps the result independent of earlier calls; a
     # constant one would miss every mode odd under a mirror of the box
     v0 = np.random.default_rng(0).standard_normal(n)
-    vals, vecs = scipy.sparse.linalg.eigsh(A, k=k, sigma=0.0, which="LM", OPinv=inverse, v0=v0)
+    vals, vecs = eigsh(A, k=k, sigma=0.0, which="LM", OPinv=inverse, v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 

@@ -20,6 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# numpy loads numpy.random on first use; importing it here keeps that load
+# in the package import instead of the first solve
+from numpy.random import default_rng
 
 from .grid import _format_record, _roll_cells, local_mass_sup, shift
 from .model import ProblemSpec
@@ -195,7 +198,7 @@ def initial_states(spec: ProblemSpec, config: SolveConfig) -> list[State]:
     more than one start, a final sign-free Gaussian random field.
     """
     dom = spec.domain
-    rng = np.random.default_rng(config.seed)
+    rng = default_rng(config.seed)
     if dom.periodic:
         diam = float(np.sqrt(sum((p / 2.0) ** 2 for p in dom.lengths)))
     else:

@@ -1,6 +1,8 @@
 """Config round-trip, command orchestration, exit codes, artifact determinism."""
 
 import filecmp
+import os
+import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -235,6 +237,24 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert main(["validate", "--config", str(bad), "--out", str(tmp_path)]) == 2
     out = capsys.readouterr().out
     assert "coupling bound (V2)" in out and "FAIL" in out
+
+
+def test_module_entry_point_runs_quietly(tmp_path):
+    """``python -m nehari.cli`` exits 0 with nothing on stderr: importing the
+    package leaves ``nehari.cli`` unimported, and the package still
+    re-exports its names on first access."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "nehari.cli", "validate", "--out", str(tmp_path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "result: PASS" in proc.stdout
+
+    import nehari
+    assert nehari.parse_config is parse_config and nehari.RunConfig is RunConfig
+    with pytest.raises(AttributeError, match="no_such_name"):
+        nehari.no_such_name
 
 
 def test_ground_writes_artifacts(tmp_path):

@@ -1,14 +1,29 @@
 """Energy functional, gradients, constraint functional and fibering map."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.fft
+from hypothesis import example, given, settings, strategies as st
 
-from nehari.grid import DomainSpec, GridFunction, l2_inner, l2_norm_sq, schrodinger_apply
+from nehari.grid import (
+    DomainSpec,
+    GridFunction,
+    _schrodinger_values,
+    l2_inner,
+    l2_norm_sq,
+    schrodinger_apply,
+)
 from nehari.energy import (
     State,
+    _constant_shift_solve,
     _project_ray,
     _ray_data,
+    _shift_symbol,
     coercive_form,
     e_inner,
     energy,
@@ -473,3 +488,103 @@ def test_state_from_another_domain_is_rejected(name):
     s = State.from_values(other, np.ones(64), np.ones(64))
     with pytest.raises(ValueError, match="problem domain"):
         _STATE_FUNCTIONS[name](spec, s)
+
+
+def _scipy_shift_solve(domain, rhs, shifts):
+    """Reference for ``_constant_shift_solve``: the same division by the
+    symbol between scipy's type-1 ``dstn``/``idstn`` (``rfftn``/``irfftn``
+    on a torus)."""
+    axes = tuple(range(1, rhs.ndim))
+    symbol = _shift_symbol(domain) + shifts.reshape((-1,) + (1,) * domain.dimension)
+    if domain.periodic:
+        coeff = scipy.fft.rfftn(rhs, axes=axes)
+        coeff /= symbol
+        return scipy.fft.irfftn(coeff, s=domain.shape, axes=axes)
+    coeff = scipy.fft.dstn(rhs, type=1, axes=axes)
+    coeff /= symbol
+    return scipy.fft.idstn(coeff, type=1, axes=axes)
+
+
+@st.composite
+def _shift_problems(draw):
+    """A box or torus of dimension 1-3, 1-16 right-hand sides with some
+    entries +0.0 or -0.0, and a positive shift per right-hand side."""
+    dim = draw(st.integers(1, 3))
+    top = (64, 12, 6)[dim - 1]
+    if draw(st.booleans()):
+        periods = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+        domain = DomainSpec.periodic_torus(periods, draw(st.integers(2, max(2, top // 3))))
+    else:
+        shape = draw(st.lists(st.integers(1, top), min_size=dim, max_size=dim))
+        lengths = draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
+        domain = DomainSpec.dirichlet_box(lengths, shape)
+    rows = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rhs = rng.standard_normal((rows,) + domain.shape)
+    zeros = rng.random(rhs.shape) < draw(st.floats(0.0, 0.5))
+    rhs[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+    shifts = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=rows, max_size=rows)))
+    return domain, rhs, shifts
+
+
+def _one_row(domain, value=1.0):
+    return domain, np.linspace(-1.0, 1.0, domain.size).reshape((1,) + domain.shape), \
+        np.array([value])
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_shift_problems())
+# transform lengths 5462 and 4623, whose reciprocals in long double (as
+# pocketfft computes them) round to other doubles than 1.0 / N, and a 3D box
+@example(problem=_one_row(DomainSpec.dirichlet_box(1.0, 2730)))
+@example(problem=_one_row(DomainSpec.periodic_torus([67], 69)))
+@example(problem=_one_row(DomainSpec.dirichlet_box((1.0, 2.0, 3.0), (7, 1, 12)), 0.5))
+def test_shift_solve_matches_scipy_bitwise(problem):
+    """The numpy transforms reproduce scipy's solve byte for byte, and the
+    solution solves ``(-lap_h + c) g = r`` to a normwise backward error of
+    1e-12 (seen: below 3e-16)."""
+    domain, rhs, shifts = problem
+    g = _constant_shift_solve(domain, rhs, shifts)
+    reference = _scipy_shift_solve(domain, rhs, shifts)
+    assert g.shape == reference.shape and g.dtype == reference.dtype
+    assert g.tobytes() == reference.tobytes()
+
+    c = shifts.reshape((-1,) + (1,) * domain.dimension)
+    axes = tuple(range(1, rhs.ndim))
+    norm = lambda a: np.sqrt(np.sum(a * a, axis=axes))
+    op_norm = 4.0 * np.sum(1.0 / np.square(domain.spacing)) + shifts   # Gershgorin bound
+    residual = norm(_schrodinger_values(g, c, domain) - rhs)
+    assert np.all(residual <= 1e-12 * (op_norm * norm(g) + norm(rhs)))
+
+
+_NO_SCIPY_RUN = """
+import sys
+from nehari import (DomainSpec, GridFunction, Nonlinearity, ProblemSpec,
+                    SolveConfig, eigenbasis, find_ground_state)
+
+def spec(domain):
+    one, f = GridFunction.constant(domain, 1.0), Nonlinearity(((1.0, 4.0),))
+    return ProblemSpec(domain=domain, q=3.0, f1=f, f2=f, V1=one, V2=one,
+                       lam=GridFunction.constant(domain, 0.3), delta=0.3)
+
+box = spec(DomainSpec.dirichlet_box(1.0, 64))
+for problem in (box, spec(DomainSpec.periodic_torus([4], 8))):
+    report, _ = find_ground_state(problem, SolveConfig(starts=2))
+    assert report.status == "converged", report.status
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+print(" ".join(repr(lam) for lam, _ in eigenbasis(box, 3)))
+"""
+
+
+def test_solves_load_no_scipy():
+    """Importing the package and solving on a box and a torus loads no scipy
+    module; the eigenbasis, which imports scipy itself, still works after."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    h = 1.0 / 65.0
+    exact = [4.0 / h ** 2 * np.sin(np.pi * k * h / 2.0) ** 2 + 1.0 for k in (1, 1, 2)]
+    np.testing.assert_allclose([float(x) for x in proc.stdout.split()], exact, rtol=1e-10)
