@@ -338,8 +338,10 @@ def _cmd_multiplicity(cfg, spec, out: Path) -> int:
         _write_state(out, label, s)
         _write(out / f"{label}_report.txt", rep.format_text())
         names.append(label)
-    _write(out / f"{cfg.label}_manifest.txt", sols.format_manifest(names))
-    print(f"found {len(sols)} distinct solutions "
+    _write(out / f"{cfg.label}_manifest.txt", sols.format_manifest(names, cfg.target_count))
+    # a shortfall is a result, not a failure: the exit code stays 0
+    of_target = f" of target_count {cfg.target_count}" if len(sols) < cfg.target_count else ""
+    print(f"found {len(sols)}{of_target} distinct solutions "
           f"(energies: {', '.join(f'{r.energy:.6g}' for _, r in sols.entries)})")
     return 0
 

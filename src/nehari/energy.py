@@ -311,12 +311,48 @@ def _shift_symbol(domain: DomainSpec) -> np.ndarray:
     return lam
 
 
+# Box axes of at most this many nodes take their sine transform as a product
+# with the cached sine matrix, longer ones as the real FFT of the odd
+# extension.  Timed per transform of 1 and 16 lines (the table is in
+# CHANGES.md), the product won at every tabulated length up to 287 nodes in
+# both runs, and the FFT first won at 299 nodes (16 lines); it won both
+# runs at both line counts at 479 and 511 nodes and from 1023 nodes on.
+_DENSE_SINE_NODES = 287
+
+
+def _dense_sine(n: int) -> bool:
+    """Whether a box axis of ``n`` nodes transforms by the dense sine matrix
+    (otherwise by the FFT)."""
+    return n <= _DENSE_SINE_NODES
+
+
+@lru_cache(maxsize=16)
+def _sine_matrix(n: int) -> np.ndarray:
+    """The sine matrix ``S[j, k] = sin(pi j k / (n + 1))``, ``j, k = 1..n``,
+    read-only and cached per length.
+
+    ``S`` is symmetric and ``S @ S = (n + 1) / 2 I``; it is half the DST-I
+    matrix.  ``j k`` is reduced modulo ``2 (n + 1)`` before the sine is
+    taken, so every angle lies below ``2 pi``.
+    """
+    k = np.arange(1, n + 1)
+    S = np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * n + 2)))
+    S.setflags(write=False)
+    return S
+
+
 @lru_cache(maxsize=64)
 def _inverse_norm(domain: DomainSpec) -> float:
-    """pocketfft's inverse norm factor ``1/N``, with ``N`` the product of the
-    transform lengths (``2 (n + 1)`` per box axis), rounded from long double:
-    for some ``N`` (5462, for one) it differs from ``1.0 / N`` in the last bit."""
-    lengths = domain.shape if domain.periodic else [2 * n + 2 for n in domain.shape]
+    """The factor that makes the inverse transforms invert the forward ones:
+    ``1/N``, with ``N`` the product over the axes of ``n`` on a torus, and on
+    a box of ``2 (n + 1)`` per FFT axis and ``(n + 1) / 2`` per sine-matrix
+    axis.  It is rounded from long double, as pocketfft's inverse norm
+    factor is: for some ``N`` (5462, for one) it differs from ``1.0 / N`` in
+    the last bit."""
+    if domain.periodic:
+        lengths = domain.shape
+    else:
+        lengths = [(n + 1) / 2 if _dense_sine(n) else 2 * n + 2 for n in domain.shape]
     return float(1 / np.longdouble(math.prod(lengths)))
 
 
@@ -336,14 +372,36 @@ def _dst1(a: np.ndarray, axis: int, scale: float = 1.0) -> np.ndarray:
     return np.multiply(rfft(ext).imag[..., 1:n + 1], -scale).swapaxes(axis, -1)
 
 
+def _sine_transform(a: np.ndarray, axis: int, scale: float = 1.0) -> np.ndarray:
+    """Sine transform of ``a`` along the box axis ``axis``, times ``scale``:
+    the product with ``_sine_matrix`` on a dense-route axis, else the DST-I
+    ``_dst1`` (twice that product).  ``_inverse_norm`` undoes either."""
+    n = a.shape[axis]
+    if not _dense_sine(n):
+        return _dst1(a, axis, scale)
+    S = _sine_matrix(n)
+    lead = math.prod(a.shape[:axis])
+    if axis == a.ndim - 1:
+        out = a.reshape(lead, n) @ S   # S is symmetric
+    else:
+        out = S @ a.reshape(lead, n, -1)
+    out = out.reshape(a.shape)
+    if scale != 1.0:
+        out *= scale
+    return out
+
+
 def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Exact solve of ``(-lap_h + c) g = rhs`` by fast sine/Fourier transforms.
+    """Exact solve of ``(-lap_h + c) g = rhs`` by sine/Fourier transforms.
 
     ``rhs`` holds one right-hand side per entry of its single leading axis,
-    and ``shifts`` the shift ``c`` of each.  The result equals scipy's
-    ``idstn(dstn(rhs, type=1) / symbol, type=1)`` (``irfftn``/``rfftn`` on a
-    torus) bit for bit: the axes are transformed in scipy's order and the
-    inverse is scaled once, by the product of the transform lengths.
+    and ``shifts`` the shift ``c`` of each.  The inverse transform is scaled
+    once, by ``_inverse_norm``.  On a torus, and on a box whose axes all
+    take the FFT route, the result equals scipy's ``irfftn(rfftn(rhs) /
+    symbol)`` (``idstn(dstn(rhs, type=1) / symbol, type=1)``) bit for bit:
+    the axes are transformed in scipy's order and the scale is applied on
+    the first axis of the inverse, as pocketfft does.  Axes on the dense
+    route agree with it to roundoff.
     """
     axes = _trailing_axes(rhs, domain)
     symbol = _shift_symbol(domain) + shifts.reshape((-1,) + (1,) * domain.dimension)
@@ -356,11 +414,11 @@ def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarra
         return out
     coeff = rhs
     for a in axes:
-        coeff = _dst1(coeff, a)
+        coeff = _sine_transform(coeff, a)
     coeff /= symbol
     scale = _inverse_norm(domain)
     for a in axes:
-        coeff = _dst1(coeff, a, scale)
+        coeff = _sine_transform(coeff, a, scale)
         scale = 1.0   # pocketfft scales the first axis only
     return coeff
 

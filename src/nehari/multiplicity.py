@@ -419,7 +419,11 @@ class SolutionSet:
         self.pairwise_distances = upper + upper.T
         return "added"
 
-    def format_manifest(self, file_names: list[str] | None = None) -> str:
+    def format_manifest(self, file_names: list[str] | None = None,
+                        target_count: int | None = None) -> str:
+        """One row per solution (the only lines that start with a digit), a
+        ``found N of target_count M`` line when fewer than ``target_count``
+        were found, and the pairwise orbit distances."""
         lines = ["index,energy,grad_residual,xi_residual,norm,files"]
         for i, (_, rep) in enumerate(self.entries):
             name = file_names[i] if file_names else f"solution_{i:02d}"
@@ -427,6 +431,8 @@ class SolutionSet:
                 f"{i},{rep.energy:.17g},{rep.grad_residual:.17g},"
                 f"{rep.xi_residual:.17g},{rep.norm:.17g},{name}"
             )
+        if target_count is not None and len(self) < target_count:
+            lines.append(f"found {len(self)} of target_count {target_count}")
         lines.append("pairwise orbit distances:")
         for i in range(len(self.entries)):
             row = " ".join(f"{self.pairwise_distances[i, j]:.10g}"

@@ -278,8 +278,8 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
     produced the point, and the norm and xi-slope come from its moments.
     Each row's backtracking starts at its spectral step (``_spectral_steps``)
     against the objective's Armijo slope (``objective.slope``); an accepted
-    trial overwrites its row, and the row stalls when no step above the
-    float granularity of its point passes the Armijo test.
+    trial overwrites its row, and the row stalls when no step moving its
+    point by more than ``_FUZZ`` of its largest entry passes the Armijo test.
     A non-finite objective value or residual raises ``RuntimeError``.
     Rows descend in batches of at most ``_JOINT_PAIR_NODES`` nodes, one row
     at least.
@@ -339,15 +339,15 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
         # Armijo backtracking per row; the rows still searching try together,
         # and an accepted trial overwrites its row.  Roundoff slack keeps full
         # steps acceptable once the decrease per step falls below float
-        # granularity of the energy.  A row stalls once its step falls below
-        # float granularity of its point: such a trial is the point itself,
-        # and accepting it by the slack would repeat the same iterate up to
-        # max_iters
+        # granularity of the energy.  A row stalls once its step falls to the
+        # same relative slack of its point (_FUZZ of its largest entry): such a
+        # trial moves the point by a few ulps at most, and accepting it by the
+        # slack would repeat the same iterate up to max_iters
         n = len(idx)
         fuzz = _FUZZ * (np.abs(pts.value) + 1.0)
         alpha = _spectral_steps(dom, pts, G, D, memory)
         memory = None   # free the previous iterate's arrays before the trials
-        grain = np.finfo(float).eps * np.abs(pts.S).reshape(n, -1).max(axis=1)
+        grain = _FUZZ * np.abs(pts.S).reshape(n, -1).max(axis=1)
         reach = np.abs(D).reshape(n, -1).max(axis=1)
         searching = np.flatnonzero(slope < 0.0)
         stop = np.ones(n, dtype=bool)   # the rows no trial has moved

@@ -288,6 +288,31 @@ def test_ground_deterministic_artifacts(tmp_path):
         assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
+def test_ground_artifacts_independent_of_blas_threads(tmp_path):
+    """``ground`` on the default 256-node box with 8 starts writes
+    byte-identical artifacts with one BLAS thread and with two.  Its joint
+    preconditioner transforms 16 lines at once, a sine-matrix product that
+    OpenBLAS splits over two threads (the default 5 starts give 10 lines,
+    which it computes on one)."""
+    root = Path(__file__).resolve().parents[1]
+    cfg_file = tmp_path / "ground.cfg"
+    cfg_file.write_text("[solve]\nstarts = 8\n")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-m", "nehari.cli", "ground", "--config",
+                               str(cfg_file), "--out", str(out)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
 def test_fibering_csv_single_sign_change(tmp_path):
     cfg_file = tmp_path / "fib.cfg"
     cfg_file.write_text("""
@@ -320,6 +345,30 @@ def test_multiplicity_manifest(tmp_path):
     assert lines[0] == "index,energy,grad_residual,xi_residual,norm,files"
     assert len([l for l in lines if l and l[0].isdigit()]) >= 2
     assert (out / "m_sol00_u.grid").exists()
+
+
+def test_multiplicity_shortfall_is_reported(tmp_path, capsys):
+    """Fewer solutions than ``target_count`` (the 64-node box yields 4 before
+    one fruitless attempt ends the search) exit 0 and say so on stdout and in
+    the manifest, on a line that does not start with a digit."""
+    cfg_file = tmp_path / "short.cfg"
+    cfg_file.write_text("""
+[problem]
+kind = dirichlet_box
+lengths = 1.0
+resolution = 64
+
+[solve]
+target_count = 6
+collapse_budget = 1
+""")
+    out = tmp_path / "out"
+    assert main(["multiplicity", "--config", str(cfg_file), "--out", str(out),
+                 "--label", "m"]) == 0
+    assert capsys.readouterr().out.startswith("found 4 of target_count 6 distinct solutions")
+    lines = (out / "m_manifest.txt").read_text().splitlines()
+    assert [l.split(",")[0] for l in lines if l[:1].isdigit()] == ["0", "1", "2", "3"]
+    assert "found 4 of target_count 6" in lines
 
 
 def test_fountain_csv(tmp_path):

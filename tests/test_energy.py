@@ -19,11 +19,13 @@ from nehari.grid import (
     schrodinger_apply,
 )
 from nehari.energy import (
+    _DENSE_SINE_NODES,
     State,
     _constant_shift_solve,
     _project_ray,
     _ray_data,
     _shift_symbol,
+    _sine_matrix,
     coercive_form,
     e_inner,
     energy,
@@ -38,7 +40,8 @@ from nehari.energy import (
     norm_E,
     xi_grad_l2,
 )
-from conftest import make_spec, random_state
+from nehari.solver import SolveConfig, find_ground_state
+from conftest import count_calls, make_spec, random_state
 
 
 def sin_mode_constants(n):
@@ -508,7 +511,9 @@ def _scipy_shift_solve(domain, rhs, shifts):
 @st.composite
 def _shift_problems(draw):
     """A box or torus of dimension 1-3, 1-16 right-hand sides with some
-    entries +0.0 or -0.0, and a positive shift per right-hand side."""
+    entries +0.0 or -0.0, and a positive shift per right-hand side.  Half of
+    the boxes get one axis longer than ``_DENSE_SINE_NODES``, which takes the
+    FFT route: a 1D box on that route alone, a 2D or 3D one on both."""
     dim = draw(st.integers(1, 3))
     top = (64, 12, 6)[dim - 1]
     if draw(st.booleans()):
@@ -516,6 +521,9 @@ def _shift_problems(draw):
         domain = DomainSpec.periodic_torus(periods, draw(st.integers(2, max(2, top // 3))))
     else:
         shape = draw(st.lists(st.integers(1, top), min_size=dim, max_size=dim))
+        if draw(st.booleans()):
+            shape[draw(st.integers(0, dim - 1))] = draw(
+                st.integers(_DENSE_SINE_NODES + 1, _DENSE_SINE_NODES + 64))
         lengths = draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
         domain = DomainSpec.dirichlet_box(lengths, shape)
     rows = draw(st.integers(1, 16))
@@ -535,26 +543,75 @@ def _one_row(domain, value=1.0):
 @settings(max_examples=150, deadline=None)
 @given(problem=_shift_problems())
 # transform lengths 5462 and 4623, whose reciprocals in long double (as
-# pocketfft computes them) round to other doubles than 1.0 / N, and a 3D box
+# pocketfft computes them) round to other doubles than 1.0 / N, a 2D box with
+# both axes on the FFT route, the default box and a 3D box
 @example(problem=_one_row(DomainSpec.dirichlet_box(1.0, 2730)))
 @example(problem=_one_row(DomainSpec.periodic_torus([67], 69)))
+@example(problem=_one_row(DomainSpec.dirichlet_box(
+    (1.0, 2.0), (_DENSE_SINE_NODES + 1, _DENSE_SINE_NODES + 2)), 0.5))
+@example(problem=_one_row(DomainSpec.dirichlet_box(1.0, 256)))
 @example(problem=_one_row(DomainSpec.dirichlet_box((1.0, 2.0, 3.0), (7, 1, 12)), 0.5))
-def test_shift_solve_matches_scipy_bitwise(problem):
-    """The numpy transforms reproduce scipy's solve byte for byte, and the
-    solution solves ``(-lap_h + c) g = r`` to a normwise backward error of
-    1e-12 (seen: below 3e-16)."""
+def test_shift_solve_matches_scipy_per_route(problem):
+    """On a torus, and on a box whose axes all take the FFT route, the numpy
+    transforms reproduce scipy's solve byte for byte.  A box with an axis on
+    the dense sine-matrix route agrees with it to roundoff: per right-hand
+    side ``||g - g_scipy|| <= 1e-14 ||rhs|| / min(symbol)``, a bound on
+    ``||g||`` itself (seen: up to 7e-16).  Every solution solves
+    ``(-lap_h + c) g = r`` to a normwise backward error of 1e-12 (seen:
+    below 4e-16)."""
     domain, rhs, shifts = problem
     g = _constant_shift_solve(domain, rhs, shifts)
     reference = _scipy_shift_solve(domain, rhs, shifts)
     assert g.shape == reference.shape and g.dtype == reference.dtype
-    assert g.tobytes() == reference.tobytes()
 
-    c = shifts.reshape((-1,) + (1,) * domain.dimension)
     axes = tuple(range(1, rhs.ndim))
     norm = lambda a: np.sqrt(np.sum(a * a, axis=axes))
+    if domain.periodic or min(domain.shape) > _DENSE_SINE_NODES:
+        assert g.tobytes() == reference.tobytes()
+    else:
+        smallest = np.min(_shift_symbol(domain)) + shifts   # 1 / ||(-lap_h + c)^-1||
+        assert np.all(norm(g - reference) * smallest <= 1e-14 * norm(rhs))
+
+    c = shifts.reshape((-1,) + (1,) * domain.dimension)
     op_norm = 4.0 * np.sum(1.0 / np.square(domain.spacing)) + shifts   # Gershgorin bound
     residual = norm(_schrodinger_values(g, c, domain) - rhs)
     assert np.all(residual <= 1e-12 * (op_norm * norm(g) + norm(rhs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, _DENSE_SINE_NODES))
+@example(n=256)
+def test_sine_matrix_is_a_cached_read_only_half_dst(n):
+    """The sine matrix is symmetric, read-only and one cached object per
+    length, and squares to ``(n + 1) / 2`` times the identity to roundoff
+    (entrywise within ``4 sqrt(n)`` eps of it, relative; seen: up to
+    ``1.02 sqrt(n)`` eps, at n = 272)."""
+    S = _sine_matrix(n)
+    assert S.shape == (n, n) and S.dtype == np.float64
+    assert _sine_matrix(n) is S
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[0, 0] = 0.0
+    assert np.array_equal(S, S.T)
+    scale = (n + 1) / 2.0
+    assert np.max(np.abs(S @ S - scale * np.eye(n))) <= 4.0 * np.sqrt(n) * np.finfo(float).eps * scale
+
+
+def test_default_box_solves_without_fft(monkeypatch):
+    """A ground-state search on the default 256-node box calls no FFT: every
+    sine transform is the dense product.  A box axis longer than
+    ``_DENSE_SINE_NODES`` still takes the FFT route through ``_dst1``."""
+    counts = {}
+    for name in ("rfft", "rfftn", "irfftn", "_dst1"):
+        count_calls(monkeypatch, counts, name)
+    report, _ = find_ground_state(make_spec(DomainSpec.dirichlet_box(1.0, 256)), SolveConfig())
+    assert report.status == "converged"
+    assert counts == {}
+    long_box = make_spec(DomainSpec.dirichlet_box(1.0, _DENSE_SINE_NODES + 1))
+    report, _ = find_ground_state(long_box, SolveConfig(starts=1))
+    assert report.status == "converged"
+    assert counts["_dst1"] > 0 and counts["rfft"] == counts["_dst1"]
+    assert "rfftn" not in counts and "irfftn" not in counts
 
 
 _NO_SCIPY_RUN = """

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nehari import grid
 from nehari import solver as solver_module
@@ -186,19 +187,24 @@ def test_periodic_cosine_ground_state_converges(monkeypatch):
     assert rep.grad_residual <= 1e-8
 
 
-def test_backtracking_stalls_below_the_point_granularity(small_bounded_spec):
-    """A row whose every trial step above the float granularity of its point
-    is rejected stalls there, instead of accepting its unmoved point by the
-    roundoff slack and repeating it up to max_iters, as some deflated
-    descents did."""
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([64, 96]), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=64, seed=1)
+def test_backtracking_stalls_below_the_point_granularity(n, seed):
+    """A row whose every trial step above the granularity of its point is
+    rejected stalls there, instead of accepting its (all but) unmoved point
+    by the roundoff slack and repeating it up to max_iters, as some deflated
+    descents did.  From any start: with the granularity at 1 eps of the
+    point, steps of 1-3 ulps uphill by less than the slack passed, and 11 of
+    24 starts climbed to max_iters."""
 
     class Uphill(solver_module._EnergyObjective):
         def grad(self, pts):
             return -super().grad(pts)   # ascent directions whose slope reads downhill
 
-    init = initial_states(small_bounded_spec, SolveConfig(seed=1))[0].pair()[None]
-    (rep,), _ = solver_module._descend(small_bounded_spec, SolveConfig(max_iters=50), init,
-                                       Uphill(small_bounded_spec), [0])
+    spec = make_spec(DomainSpec.dirichlet_box(1.0, n))
+    init = initial_states(spec, SolveConfig(seed=seed))[0].pair()[None]
+    (rep,), _ = solver_module._descend(spec, SolveConfig(max_iters=50), init, Uphill(spec), [0])
     assert rep.status == "stalled" and rep.iterations < 50
 
 
