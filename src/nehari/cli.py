@@ -78,7 +78,6 @@ class RunConfig:
     armijo_backtrack: float = 0.5
     starts: int = 5
     seed: int = 0
-    recenter_every: int = 0
     target_count: int = 3
     collapse_budget: int = 6
     k_max: int = 30
@@ -93,7 +92,6 @@ class RunConfig:
             armijo=(self.armijo_c1, self.armijo_backtrack),
             starts=self.starts,
             seed=self.seed,
-            recenter_every=self.recenter_every,
         )
 
 
@@ -167,7 +165,6 @@ _CONFIG_SCHEMA = (
     ("solve", "armijo_backtrack", "armijo_backtrack", float, str),
     ("solve", "starts", "starts", int, str),
     ("solve", "seed", "seed", int, str),
-    ("solve", "recenter_every", "recenter_every", int, str),
     ("solve", "target_count", "target_count", int, str),
     ("solve", "collapse_budget", "collapse_budget", int, str),
     ("solve", "k_max", "k_max", int, str),
@@ -179,7 +176,8 @@ _SECTIONS = ("problem", "solve", "output")
 
 def parse_config(text: str, command: str = "validate") -> RunConfig:
     """Parse the sectioned key=value format into a RunConfig; an unknown
-    section or key, or a key repeated within a section, is an error."""
+    section or key, or a key repeated within a section, is an error.  The
+    retired key of in-descent recentering parses only at its old default 0."""
     sections: dict[str, dict[str, str]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -205,6 +203,8 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
         if key in sections.get(section, {}):
             values[attr] = parse(sections[section].pop(key))
     cfg = replace(cfg, command=command, **values)
+    if int(sections.get("solve", {}).pop("recenter_every", "0")) != 0:
+        raise ConfigError("[solve] recenter_every is retired; only 0 is accepted")
 
     for section, entries in sections.items():
         if entries:

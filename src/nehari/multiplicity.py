@@ -575,7 +575,7 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
         return find_ground_state(spec, config)
 
     objective = _DeflatedObjective(spec, known.deflation_states())
-    deflate_cfg = replace(config, grad_tol=max(config.grad_tol, 1e-6), recenter_every=0)
+    deflate_cfg = replace(config, grad_tol=max(config.grad_tol, 1e-6))
     starts = np.stack([s.pair() for s in initial_states(spec, config)])
     filters = _symmetry_filters(spec)
     inits = np.concatenate([filt(starts[:1]) for filt in filters] + [starts])
@@ -612,6 +612,10 @@ def find_distinct_solutions(spec: ProblemSpec, config: SolveConfig,
     deflation set), not as a collapse.  Each attempt draws fresh starts
     from a derived seed, deterministically.
     """
+    if target_count < 1:
+        raise ValueError(f"target_count must be at least 1, got {target_count}")
+    if collapse_budget < 0:
+        raise ValueError(f"collapse_budget must be nonnegative, got {collapse_budget}")
     solutions = SolutionSet(spec)
     rep, state = find_ground_state(spec, config)
     solutions.add(state, rep)

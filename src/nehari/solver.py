@@ -24,7 +24,7 @@ import numpy as np
 # in the package import instead of the first solve
 from numpy.random import default_rng
 
-from .grid import _format_record, _roll_cells, local_mass_sup, shift
+from .grid import _format_record, local_mass_sup, shift
 from .model import ProblemSpec
 from .energy import (
     _JOINT_PAIR_NODES,
@@ -66,15 +66,14 @@ class SolveConfig:
     armijo: tuple[float, float] = (1e-4, 0.5)   # (c1, backtrack factor)
     starts: int = 5
     seed: int = 0
-    recenter_every: int = 0                     # 0 disables (periodic only)
 
     def __post_init__(self):
         if not (0 < self.grad_tol < np.inf):
             raise ValueError("grad_tol must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.recenter_every < 0:
-            raise ValueError("recenter_every must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
         c1, back = self.armijo
@@ -280,6 +279,8 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
     against the objective's Armijo slope (``objective.slope``); an accepted
     trial overwrites its row, and the row stalls when no step moving its
     point by more than ``_FUZZ`` of its largest entry passes the Armijo test.
+    Converged and stalled rows retire by one path; the loop only shrinks
+    its pair arrays and builds no state.
     A non-finite objective value or residual raises ``RuntimeError``.
     Rows descend in batches of at most ``_JOINT_PAIR_NODES`` nodes, one row
     at least.
@@ -305,6 +306,19 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
     pts = _evaluate(spec, objective, init)
     _require_finite(pts.value, "objective value", 0, start_index, idx)
     memory = None   # (G, D, accepted step) of the previous iterate, by row
+
+    def retire(stop) -> bool:
+        """Move the rows flagged in ``stop`` with their points to ``finished``
+        and drop them from the descending arrays; True once no row is left."""
+        nonlocal idx, pts, G, memory
+        if stop.any():
+            finished.append((idx[stop], pts.S if stop.all() else pts.S[stop]))
+            keep = ~stop
+            idx, pts = idx[keep], pts.take(keep)
+            G = G if G is None else G[keep]
+            memory = memory and tuple(a[keep] for a in memory)
+        return not idx.size
+
     for it in range(config.max_iters + 1):
         if trace is not None:
             for row, value in zip(idx, pts.value.tolist()):
@@ -318,17 +332,8 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
         stop = res <= config.grad_tol
         for r in idx[stop]:
             status[r] = "converged"
-        if it == config.max_iters:
-            stop[:] = True
-        if stop.all():
-            finished.append((idx, pts.S))
+        if retire(stop | (it == config.max_iters)):
             break
-        if stop.any():
-            finished.append((idx[stop], pts.S[stop]))
-            keep = ~stop
-            idx, pts, G = idx[keep], pts.take(keep), G[keep]
-            if memory is not None:
-                memory = tuple(a[keep] for a in memory)
 
         D = _precondition(spec, G)
         for k, r in enumerate(idx if filters else ()):
@@ -375,22 +380,10 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
 
         for r in idx[stop]:
             status[r] = "stalled"
-        if stop.all():
-            finished.append((idx, pts.S))
+        memory, G, D, alpha = (G, D, alpha), None, None, None   # one copy each to shrink
+        if retire(stop):
             break
-        if stop.any():
-            finished.append((idx[stop], pts.S[stop]))
-            keep = ~stop
-            idx, pts, G, D, alpha = idx[keep], pts.take(keep), G[keep], D[keep], alpha[keep]
-        memory = (G, D, alpha)
         iterations[idx] = it + 1
-        if (dom.periodic and config.recenter_every
-                and (it + 1) % config.recenter_every == 0):
-            for k in range(len(idx)):
-                s, z = recenter(State.from_pair(dom, pts.S[k]))
-                pts.S[k] = s.pair()
-                G[k], D[k] = _roll_cells(G[k], z, dom), _roll_cells(D[k], z, dom)
-            pts.value, pts.extra = objective.value(pts.S, pts.energy)
 
     if len(finished) == 1:
         final = finished[0][1]   # every row stopped at once, in order
@@ -444,7 +437,8 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
     start is replaced by its componentwise absolute value before projection,
     biasing toward the nonnegative ground state, and the returned components
     are nonnegative up to 1e-10 of the peak amplitude.  Deterministic for a
-    fixed seed; ties in energy break by start index.
+    fixed seed: converged energies within the Armijo slack of the lowest
+    tie, and a tie goes to the lowest start index.
     """
     bounded = not spec.domain.periodic
     starts = np.stack([s.pair() for s in initial_states(spec, config)])
@@ -463,7 +457,8 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
             for r in reports
         )
         raise SolverStallError("no start converged:\n" + lines)
-    best = min(converged, key=lambda r: (r.energy, r.start_index))
+    lowest = min(r.energy for r in converged)
+    best = next(r for r in converged if r.energy - lowest <= _FUZZ * (abs(lowest) + 1.0))
     return (replace(best, rho_estimate=min(r.rho_estimate for r in reports)),
             State.from_pair(spec.domain, final[best.start_index]))
 

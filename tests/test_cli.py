@@ -1,6 +1,7 @@
 """Config round-trip, command orchestration, exit codes, artifact determinism."""
 
 import filecmp
+import importlib.util
 import os
 import subprocess
 import sys
@@ -61,7 +62,7 @@ _CONFIG_FIELDS = {
     "init_u": st.none() | _EXPRESSIONS, "init_v": st.none() | _EXPRESSIONS,
     "max_iters": _INTS, "grad_tol": _FLOATS, "armijo_c1": _FLOATS,
     "armijo_backtrack": _FLOATS, "starts": _INTS, "seed": _INTS,
-    "recenter_every": _INTS, "target_count": _INTS, "collapse_budget": _INTS,
+    "target_count": _INTS, "collapse_budget": _INTS,
     "k_max": _INTS, "out_dir": _WORDS, "label": _WORDS,
 }
 
@@ -116,7 +117,6 @@ armijo_c1 = 0.0001
 armijo_backtrack = 0.5
 starts = 5
 seed = 0
-recenter_every = 0
 target_count = 3
 collapse_budget = 6
 k_max = 30
@@ -129,6 +129,42 @@ label = run
 
 def test_emitted_default_config_golden():
     assert emit_config(default_config()) == DEFAULT_CONFIG_TEXT
+
+
+def test_retired_recenter_key_parses_at_zero_only():
+    """Configs emitted while in-descent recentering existed carry
+    ``recenter_every = 0``: it parses to the same config and is not emitted
+    again (other values exit 2, see ``test_out_of_range_setting_exit_code``)."""
+    old_text = DEFAULT_CONFIG_TEXT.replace("seed = 0\n", "seed = 0\nrecenter_every = 0\n")
+    cfg = parse_config(old_text)
+    assert cfg == default_config()
+    assert emit_config(cfg) == DEFAULT_CONFIG_TEXT
+
+
+def _benchmark_workloads():
+    """The benchmark's workload table (a stdlib-only module), loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.WORKLOADS
+
+
+_WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOADS))
+def test_benchmark_workload_configs_parse(name):
+    """Every config the benchmark writes parses, so a retired or renamed key
+    cannot silently fail every benchmark op."""
+    workload = _WORKLOADS[name]
+    cfg = parse_config(workload.config_text(1, "out"), workload.command)
+    assert (cfg.command, cfg.kind, cfg.starts) == (workload.command, workload.problem.kind,
+                                                   workload.starts)
 
 
 def test_report_records_golden():
@@ -514,6 +550,12 @@ def test_deeply_nested_expression_exit_code(tmp_path, capsys, value):
     ("ground", "max_iters = -1"),
     ("multiplicity", "max_iters = -1"),
     ("ground", "recenter_every = -1"),
+    ("ground", "recenter_every = 5"),
+    ("ground", "recenter_every = 0\nrecenter_every = 0"),
+    ("ground", "seed = -1"),
+    ("multiplicity", "target_count = 0"),
+    ("multiplicity", "target_count = -3"),
+    ("multiplicity", "collapse_budget = -1"),
     ("ground", "grad_tol = nan"),
     ("ground", "grad_tol = inf"),
     ("fountain", "k_max = 0"),
