@@ -176,9 +176,10 @@ _SECTIONS = ("problem", "solve", "output")
 
 def parse_config(text: str, command: str = "validate") -> RunConfig:
     """Parse the sectioned key=value format into a RunConfig; an unknown
-    section or key, or a key repeated within a section, is an error.  The
-    retired key of in-descent recentering parses only at its old default 0."""
-    sections: dict[str, dict[str, str]] = {}
+    section or key, a key repeated within a section, or a value its key
+    cannot parse is an error, named by line and key.  The retired key of
+    in-descent recentering parses only at its old default 0."""
+    sections: dict[str, dict[str, tuple[int, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -195,15 +196,21 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key in sections[current]:
             raise ConfigError(f"line {lineno}: duplicated key {key!r} in section [{current}]")
-        sections[current][key] = value
+        sections[current][key] = (lineno, value)
 
-    cfg = default_config(sections.get("problem", {}).get("kind", "dirichlet_box"))
-    values = {}
-    for section, key, attr, parse, _ in _CONFIG_SCHEMA:
-        if key in sections.get(section, {}):
-            values[attr] = parse(sections[section].pop(key))
-    cfg = replace(cfg, command=command, **values)
-    if int(sections.get("solve", {}).pop("recenter_every", "0")) != 0:
+    def parsed(section, key, parse):
+        lineno, value = sections[section].pop(key)
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r} in section "
+                              f"[{section}]: {exc}") from None
+
+    values = {attr: parsed(section, key, parse) for section, key, attr, parse, _ in _CONFIG_SCHEMA
+              if key in sections.get(section, {})}
+    cfg = replace(default_config(values.get("kind", "dirichlet_box")), command=command, **values)
+    if "recenter_every" in sections.get("solve", {}) \
+            and parsed("solve", "recenter_every", int) != 0:
         raise ConfigError("[solve] recenter_every is retired; only 0 is accepted")
 
     for section, entries in sections.items():
@@ -289,7 +296,7 @@ def _initial_state(cfg: RunConfig, spec: ProblemSpec) -> State:
         u = _sample_expression(dom, cfg.init_u or "0", "init_u", False, False)
         v = _sample_expression(dom, cfg.init_v or "0", "init_v", False, False)
         return State(u, v)
-    return initial_states(spec, cfg.solve_config())[0]
+    return State.from_pair(spec.domain, initial_states(spec, cfg.solve_config())[0])
 
 
 # ---------------------------------------------------------------------------

@@ -573,7 +573,7 @@ _BRACKET_LIMIT = 2.0 ** 60
 _FIBERING_RTOL = 1e-12   # the relative step that ends the t* Newton of a projection
 
 
-def _project_ray(rd: _RayData, rel_tol: float) -> tuple[float, tuple[float, float], int]:
+def _project_ray(rd: _RayData) -> tuple[float, tuple[float, float], int]:
     """Unique positive root of ``phi'`` by bracketing plus safeguarded Newton.
 
     ``rd`` holds the moments of one state, as Python floats.  Newton starts
@@ -611,7 +611,7 @@ def _project_ray(rd: _RayData, rel_tol: float) -> tuple[float, tuple[float, floa
         else:
             break
         t_new = t - fp / fpp if fpp != 0.0 else 0.5 * (lo + hi)
-        if abs(t_new - t) <= rel_tol * t:
+        if abs(t_new - t) <= _FIBERING_RTOL * t:
             # converged; the step may round onto the bracket end t just became
             t = min(max(t_new, lo), hi)
             break
@@ -619,7 +619,7 @@ def _project_ray(rd: _RayData, rel_tol: float) -> tuple[float, tuple[float, floa
             t_new = 0.5 * (lo + hi)
         step = abs(t_new - t)
         t = t_new
-        if step <= rel_tol * t or (hi - lo) <= rel_tol * t:
+        if step <= _FIBERING_RTOL * t or (hi - lo) <= _FIBERING_RTOL * t:
             break
     return t, bracket, iterations
 
@@ -650,7 +650,7 @@ def fibering_project(spec: ProblemSpec, s):
     iterations = 0
     for k in range(len(S)):
         ray = rd.take(k)
-        tk, bracket, its = _project_ray(ray, _FIBERING_RTOL)
+        tk, bracket, its = _project_ray(ray)
         phi_k = ray.phi(tk)
         # roundoff slack: bracket ends coincide with t* when the input is on the manifold
         slack = 1e-9 * (1.0 + abs(phi_k))

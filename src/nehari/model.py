@@ -40,6 +40,7 @@ __all__ = [
 # numerical hypothesis checks: 400 log-spaced magnitudes per sign
 _N_SAMPLES = 400
 _S_MIN, _S_MAX = 1e-6, 1e6
+_RADIUS_RTOL = 1e-12   # the relative bracket width that ends the bisection of radius_R
 
 
 class ValidationError(ValueError):
@@ -294,7 +295,7 @@ def validate_problem(spec: ProblemSpec) -> ValidationReport:
     return rep
 
 
-def radius_R(nl: Nonlinearity, q: float, rel_tol: float = 1e-12) -> float:
+def radius_R(nl: Nonlinearity, q: float) -> float:
     """Smallest ``R`` with ``F(s) > |s|^q / q`` for all ``|s| >= R``.
 
     For the power family ``F(s)/|s|^q - 1/q`` is strictly increasing in
@@ -319,7 +320,7 @@ def radius_R(nl: Nonlinearity, q: float, rel_tol: float = 1e-12) -> float:
         hi *= 2.0
     if not (g(lo) < 0 < g(hi)):
         raise ValidationError("could not bracket the crossing of F(s) and s^q/q")
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _RADIUS_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if g(mid) < 0:
             lo = mid

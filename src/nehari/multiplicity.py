@@ -100,23 +100,18 @@ def eigenbasis(spec: ProblemSpec, k: int) -> list[tuple[float, State]]:
     if k < 1 or k > 2 * n:
         raise ValueError(f"k={k} exceeds the dimension of the discrete space ({2 * n})")
     per_block = min(k, n)
-    vol = dom.cell_volume
+    blocks = [_block_eigenpairs(dom, V, per_block) for V in (spec.V1.values, spec.V2.values)]
+    keys = sorted((float(lam), block, j)
+                  for block, (vals, _) in enumerate(blocks) for j, lam in enumerate(vals))
     zeros = np.zeros(dom.shape)
-
     pairs = []
-    for block, V in enumerate((spec.V1.values, spec.V2.values)):
-        vals, vecs = _block_eigenpairs(dom, V, per_block)
-        for j in range(len(vals)):
-            lam = float(vals[j])
-            e = vecs[:, j].reshape(dom.shape)
-            # E-normalization: ||(e,0)||^2 = lam * |e|_2h^2 for an eigenvector
-            scale = 1.0 / np.sqrt(lam * vol * float(np.sum(e * e)))
-            e = e * scale
-            state = State.from_values(dom, e, zeros) if block == 0 \
-                else State.from_values(dom, zeros, e)
-            pairs.append((lam, block, j, state))
-    pairs.sort(key=lambda t: (t[0], t[1], t[2]))
-    return [(lam, state) for lam, _, _, state in pairs[:k]]
+    for lam, block, j in keys[:k]:
+        e = blocks[block][1][:, j].reshape(dom.shape)
+        # E-normalization: ||(e,0)||^2 = lam * |e|_2h^2 for an eigenvector
+        e = e * (1.0 / np.sqrt(lam * dom.cell_volume * float(np.sum(e * e))))
+        u, v = (e, zeros) if block == 0 else (zeros, e)
+        pairs.append((lam, State.from_values(dom, u, v)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +228,8 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     basis = eigenbasis(spec, k_max + buffer)
     K = len(basis)
     if K < k_max:
@@ -379,11 +376,10 @@ class SolutionSet:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def states(self) -> list[State]:
-        return [s for s, _ in self.entries]
-
-    def deflation_states(self) -> list[State]:
-        return self.states() + self.twin_orbits
+    def _orbits(self) -> np.ndarray:
+        """Every stored orbit as a row of one pair array: the entries by
+        energy, then the twins."""
+        return np.stack([s.pair() for s, _ in self.entries] + [s.pair() for s in self.twin_orbits])
 
     def is_new_orbit(self, s: State) -> bool:
         return bool(self._new_orbits(s.pair()[None])[0])
@@ -391,10 +387,9 @@ class SolutionSet:
     def _new_orbits(self, S: np.ndarray) -> np.ndarray:
         """Whether each row of the pair array ``S`` stays clear of every
         stored orbit, relative to the larger of the two norms."""
-        known = self.deflation_states()
-        if not known:
+        if not self.entries and not self.twin_orbits:
             return np.ones(len(S), dtype=bool)
-        dist, _, _, _, n1, n2 = _orbit_realizer(self.spec, S, np.stack([s.pair() for s in known]))
+        dist, _, _, _, n1, n2 = _orbit_realizer(self.spec, S, self._orbits())
         thresh = _DISTINCT_FACTOR * np.maximum(np.sqrt(n1)[:, None], np.sqrt(n2))
         return np.all(dist > thresh, axis=1)
 
@@ -413,7 +408,7 @@ class SolutionSet:
             return "twin"
         self.entries.append((s, report))
         self.entries.sort(key=lambda entry: entry[1].energy)
-        E = np.stack([s.pair() for s in self.states()])
+        E = self._orbits()[:len(self)]
         dist = _orbit_realizer(self.spec, E, E)[0]
         upper = np.triu(dist, 1)
         self.pairwise_distances = upper + upper.T
@@ -497,7 +492,8 @@ def _symmetry_filters(spec: ProblemSpec) -> list:
 
 
 class _DeflatedObjective:
-    """Energy times shifted deflation factors centered at known orbits.
+    """Energy times shifted deflation factors centered at the known orbits,
+    the rows of the pair array ``known``.
 
     One orbit realizer call per point realizes every known orbit together
     with its value, from the block operator applied to the orbits once per
@@ -506,9 +502,9 @@ class _DeflatedObjective:
     ``slope`` read them.
     """
 
-    def __init__(self, spec: ProblemSpec, known: list[State]):
+    def __init__(self, spec: ProblemSpec, known: np.ndarray):
         self.spec = spec
-        self.known = np.stack([sk.pair() for sk in known])
+        self.known = known
         self.applied = _apply_block(spec, self.known)
 
     def value(self, S: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -574,9 +570,9 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
     if len(known) == 0:
         return find_ground_state(spec, config)
 
-    objective = _DeflatedObjective(spec, known.deflation_states())
+    objective = _DeflatedObjective(spec, known._orbits())
     deflate_cfg = replace(config, grad_tol=max(config.grad_tol, 1e-6))
-    starts = np.stack([s.pair() for s in initial_states(spec, config)])
+    starts = initial_states(spec, config)
     filters = _symmetry_filters(spec)
     inits = np.concatenate([filt(starts[:1]) for filt in filters] + [starts])
     run_filters = filters + [None] * len(starts)

@@ -8,7 +8,7 @@ is feasible.  Stopping tests the full gradient (manifold criticality of
 the energy implies free criticality, so a small full gradient is the
 honest certificate).  Several starts descend together as the rows of one
 pair array ``(rows, 2, *shape)``, each row on its own steps; states are
-built only on entry and exit.
+built only for what a search returns.
 
 Periodic helpers: recentering by integer translations (which leave the
 energy invariant), least-squares exponential decay fitting, and the
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 60
+_DECAY_WINDOW = (1e-12, 1e-3)   # fitted amplitudes, relative to the peak amplitude
 
 
 class SolverStallError(RuntimeError):
@@ -189,8 +190,9 @@ def _bump_values(domain, center, width):
     return np.exp(-d2 / (2.0 * width * width))
 
 
-def initial_states(spec: ProblemSpec, config: SolveConfig) -> list[State]:
-    """Deterministic multi-start initial data.
+def initial_states(spec: ProblemSpec, config: SolveConfig) -> np.ndarray:
+    """Deterministic multi-start initial data, one start per row of a pair
+    array ``(starts, 2, *shape)``.
 
     Positive Gaussian bumps (width one eighth of the domain diameter,
     amplitude one, independent centers per component) plus, when there is
@@ -204,18 +206,16 @@ def initial_states(spec: ProblemSpec, config: SolveConfig) -> list[State]:
         diam = float(np.sqrt(sum(l * l for l in dom.lengths)))
     width = diam / 8.0
 
-    states = []
+    starts = np.empty((config.starts, 2) + dom.shape)
     n_bumps = config.starts if config.starts == 1 else config.starts - 1
-    for _ in range(n_bumps):
+    for k in range(n_bumps):
         centers = rng.uniform(0.0, dom.lengths, size=(2, dom.dimension))
-        u = _bump_values(dom, centers[0], width)
-        v = _bump_values(dom, centers[1], width)
-        states.append(State.from_values(dom, u, v))
+        starts[k, 0] = _bump_values(dom, centers[0], width)
+        starts[k, 1] = _bump_values(dom, centers[1], width)
     if config.starts > 1:
-        u = rng.standard_normal(dom.shape)
-        v = rng.standard_normal(dom.shape)
-        states.append(State.from_values(dom, u, v))
-    return states
+        starts[-1, 0] = rng.standard_normal(dom.shape)
+        starts[-1, 1] = rng.standard_normal(dom.shape)
+    return starts
 
 
 def _evaluate(spec: ProblemSpec, objective, S: np.ndarray) -> _Points:
@@ -441,7 +441,7 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
     tie, and a tie goes to the lowest start index.
     """
     bounded = not spec.domain.periodic
-    starts = np.stack([s.pair() for s in initial_states(spec, config)])
+    starts = initial_states(spec, config)
     if bounded:
         starts = np.abs(starts)
     reports, final = _descend(spec, config, starts, _EnergyObjective(spec),
@@ -504,14 +504,14 @@ def recenter(s: State) -> tuple[State, tuple[int, ...]]:
     return State(shift(s.u, z), shift(s.v, z)), z
 
 
-def decay_fit(s: State, window: tuple[float, float] = (1e-12, 1e-3)) -> DecayFit:
+def decay_fit(s: State) -> DecayFit:
     """Fit ``log(|u| + |v|)`` against periodic distance from the state center.
 
     The center is the amplitude peak node (recentering moves it next to the
     torus midpoint, but only in whole unit cells, so the peak itself is the
     sub-cell-accurate reference).  The fit runs over nodes whose amplitude
-    lies in ``window`` relative to the peak amplitude and fails when fewer
-    than 30 nodes are admissible (grid or window too small).
+    lies in ``_DECAY_WINDOW`` relative to the peak amplitude and fails when
+    fewer than 30 nodes are admissible (grid or window too small).
     """
     dom = s.domain
     if not dom.periodic:
@@ -520,7 +520,7 @@ def decay_fit(s: State, window: tuple[float, float] = (1e-12, 1e-3)) -> DecayFit
     wmax = float(w.max())
     if wmax == 0.0:
         raise ValueError("decay_fit needs a nonzero state")
-    lo, hi = window[0] * wmax, window[1] * wmax
+    lo, hi = _DECAY_WINDOW[0] * wmax, _DECAY_WINDOW[1] * wmax
     mask = (w >= lo) & (w <= hi) & (w > 0.0)
     n_samples = int(np.count_nonzero(mask))
     if n_samples < 30:

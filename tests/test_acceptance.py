@@ -47,10 +47,6 @@ def _passline(name, t0, detail=""):
     print(f"\n{name}: PASS ({time.perf_counter() - t0:.2f}s{extra})")
 
 
-def _abs_state(s):
-    return State.from_values(s.domain, np.abs(s.u.values), np.abs(s.v.values))
-
-
 def test_c1_hypothesis_gate():
     """C1: defaults pass every hypothesis; the two bad cases are rejected by name."""
     t0 = time.perf_counter()
@@ -206,7 +202,7 @@ def test_c5_bounded_ground_state():
     cfg = SolveConfig(starts=5, seed=0)
     energies, residuals = [], []
     for i, init in enumerate(initial_states(spec, cfg)):
-        rep, _ = minimize_on_nehari(spec, cfg, _abs_state(init), i)
+        rep, _ = minimize_on_nehari(spec, cfg, State.from_pair(spec.domain, np.abs(init)), i)
         if rep.status == "converged":
             energies.append(rep.energy)
             residuals.append(rep.grad_residual)

@@ -553,6 +553,7 @@ def test_deeply_nested_expression_exit_code(tmp_path, capsys, value):
     ("ground", "recenter_every = 5"),
     ("ground", "recenter_every = 0\nrecenter_every = 0"),
     ("ground", "seed = -1"),
+    ("fountain", "seed = -1"),
     ("multiplicity", "target_count = 0"),
     ("multiplicity", "target_count = -3"),
     ("multiplicity", "collapse_budget = -1"),
@@ -562,12 +563,35 @@ def test_deeply_nested_expression_exit_code(tmp_path, capsys, value):
     ("ground", "seed = 1\nseed = 7"),
 ])
 def test_out_of_range_setting_exit_code(tmp_path, capsys, command, setting):
-    """An out-of-range or repeated [solve] value is a config error: exit 2, one line."""
+    """An out-of-range or repeated [solve] value is a config error: exit 2,
+    one line that names the key."""
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"[problem]\nresolution = 64\n\n[solve]\n{setting}\n")
     assert main([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert setting.split(" =")[0] in err
+
+
+@pytest.mark.parametrize("section, setting", [
+    ("solve", "max_iters = ten"),
+    ("solve", "grad_tol = abc"),
+    ("solve", "recenter_every = zero"),
+    ("problem", "q = abc"),
+    ("problem", 'v1 = "1 + * x1"'),
+])
+def test_unparsable_value_exit_code(tmp_path, capsys, section, setting):
+    """A value its key cannot parse is a config error: exit 2, one line that
+    names the line and the key and keeps the parser's reason."""
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"[problem]\nresolution = 64\n\n[{section}]\n{setting}\n")
+    assert main(["validate", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    key = setting.split(" =")[0]
+    assert f"line 5: bad value for {key!r} in section [{section}]: " in err
+    if key == "v1":
+        assert "(at byte " in err
 
 
 def test_fibering_reads_one_set_of_ray_moments(tmp_path, monkeypatch):

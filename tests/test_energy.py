@@ -441,7 +441,7 @@ def test_projection_root_on_random_moment_rows(bounded_2d_spec, norm_sq, cross_f
     rd = _ray_data(spec, np.ones(spec.domain.shape), np.ones(spec.domain.shape))
     rd = type(rd)(np.array([norm_sq, cross_frac * norm_sq, mq] + coeffs), rd.exps,
                   rd.inv_p, rd.q)
-    t, (lo, hi), iterations = _project_ray(rd, 1e-12)
+    t, (lo, hi), iterations = _project_ray(rd)
     assert lo <= t <= hi and iterations <= 200
     assert rd.psi(lo) >= 0.0 >= rd.psi(hi)
     reference = _bisect_root(rd, lo, hi)
@@ -459,7 +459,7 @@ def test_projection_next_to_the_manifold_reaches_roundoff(bounded_spec, seed, ep
     on = fibering_project(bounded_spec, s)[1]
     rd = _ray_data(bounded_spec, on.u.values, on.v.values)
     ray = type(rd)(np.array(rd.scaled_row(1.0 + eps)), rd.exps, rd.inv_p, rd.q)
-    t, (lo, hi), iterations = _project_ray(ray, 1e-12)
+    t, (lo, hi), iterations = _project_ray(ray)
     reference = _bisect_root(ray, lo, hi)
     assert abs(t - reference) <= 1e-14 * reference
     assert iterations <= 8

@@ -371,8 +371,8 @@ def test_deflated_descent_realizes_each_orbit_once_per_point(monkeypatch,
         count_calls(monkeypatch, counts, name, rows)
     for name in ("fibering_project", "_orbit_realizer"):
         count_calls(monkeypatch, calls, name)
-    objective = _DeflatedObjective(spec, known)
-    inits = np.stack([s.pair() for s in initial_states(spec, cfg)])
+    objective = _DeflatedObjective(spec, np.stack([s.pair() for s in known]))
+    inits = initial_states(spec, cfg)
     reports, _ = _descend(spec, cfg, inits, objective, [0, 1])
     assert all(rep.iterations > 0 for rep in reports)
     assert counts["_orbit_realizer"] == len(known) * counts["fibering_project"]
@@ -395,8 +395,8 @@ def test_deflated_gradient_matches_central_differences(request, spec_name):
     including rows that realize a known orbit through a cell shift."""
     spec = request.getfixturevalue(spec_name)
     dom = spec.domain
-    bumps = np.stack([s.pair() for s in initial_states(spec, SolveConfig(seed=12, starts=4))])
-    objective = _DeflatedObjective(spec, [State.from_pair(dom, b) for b in bumps[:2]])
+    bumps = initial_states(spec, SolveConfig(seed=12, starts=4))
+    objective = _DeflatedObjective(spec, bumps[:2])
     z = (3,) if dom.periodic else ()
     S = np.stack([0.9 * _roll_cells(bumps[0], z, dom) + 0.3 * bumps[2],
                   bumps[2] - 0.5 * _roll_cells(bumps[1], z, dom)])
@@ -421,9 +421,8 @@ def test_armijo_slope_is_the_retracted_derivative(request, spec_name, deflated):
     its value along the retracted path ``alpha -> P(s - alpha D)`` at 0, the
     slope the Armijo test of the descent compares against."""
     spec = request.getfixturevalue(spec_name)
-    dom = spec.domain
-    bumps = np.stack([s.pair() for s in initial_states(spec, SolveConfig(seed=14, starts=4))])
-    objective = (_DeflatedObjective(spec, [State.from_pair(dom, bumps[0])]) if deflated
+    bumps = initial_states(spec, SolveConfig(seed=14, starts=4))
+    objective = (_DeflatedObjective(spec, bumps[:1]) if deflated
                  else _EnergyObjective(spec))
     pts = _evaluate(spec, objective, bumps[1:])
     G = objective.grad(pts)
@@ -451,13 +450,14 @@ def test_batched_descent_rows_match_runs_alone(seed, plain):
     plain polish, on the 64-node box (as ``deflated_search`` runs them)."""
     spec, ground = _small_box_ground()
     cfg = SolveConfig(seed=seed, starts=plain)
-    starts = np.stack([s.pair() for s in initial_states(spec, cfg)])
+    starts = initial_states(spec, cfg)
     filters = _symmetry_filters(spec)
     assert len(filters) == 3   # swap-symmetric, swap-antisymmetric, odd reflection
     inits = np.concatenate([f(starts[:1]) for f in filters] + [starts])
     row_filters = filters + [None] * plain
     names = list(range(len(inits)))
-    stages = [(replace(cfg, grad_tol=1e-6, max_iters=40), _DeflatedObjective(spec, [ground])),
+    stages = [(replace(cfg, grad_tol=1e-6, max_iters=40),
+               _DeflatedObjective(spec, ground.pair()[None])),
               (replace(cfg, max_iters=60), _EnergyObjective(spec))]
     for stage_cfg, objective in stages:
         reports, finals = _descend(spec, stage_cfg, inits, objective, names, row_filters)

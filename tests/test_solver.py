@@ -72,7 +72,8 @@ def test_critical_init_stops_immediately(small_bounded_spec):
 
 def test_energy_monotone_along_descent(small_bounded_spec):
     trace = []
-    init = initial_states(small_bounded_spec, SolveConfig(seed=1))[0]
+    init = State.from_pair(small_bounded_spec.domain,
+                          initial_states(small_bounded_spec, SolveConfig(seed=1))[0])
     rep, _ = minimize_on_nehari(small_bounded_spec, SolveConfig(seed=1), init, trace=trace)
     assert rep.status == "converged"
     trace = np.asarray(trace)
@@ -118,7 +119,7 @@ def test_decoupled_system_beats_single_ray():
 
 def test_swap_symmetric_initialization(bounded_spec):
     cfg = SolveConfig(seed=4)
-    init = initial_states(bounded_spec, cfg)[0]
+    init = State.from_pair(bounded_spec.domain, initial_states(bounded_spec, cfg)[0])
     swapped = State(init.v, init.u)
     rep_a, _ = minimize_on_nehari(bounded_spec, cfg, init)
     rep_b, _ = minimize_on_nehari(bounded_spec, cfg, swapped)
@@ -205,7 +206,7 @@ def test_backtracking_stalls_below_the_point_granularity(n, seed):
             return -super().grad(pts)   # ascent directions whose slope reads downhill
 
     spec = make_spec(DomainSpec.dirichlet_box(1.0, n))
-    init = initial_states(spec, SolveConfig(seed=seed))[0].pair()[None]
+    init = initial_states(spec, SolveConfig(seed=seed))[:1]
     (rep,), _ = solver_module._descend(spec, SolveConfig(max_iters=50), init, Uphill(spec), [0])
     assert rep.status == "stalled" and rep.iterations < 50
 
@@ -284,7 +285,7 @@ def test_pipeline_translation_invariance(periodic_spec_2d):
     """Integer-shifted initial data reaches the same energy."""
     spec = periodic_spec_2d
     cfg = SolveConfig(seed=9, starts=1, max_iters=400)
-    init = initial_states(spec, cfg)[0]
+    init = State.from_pair(spec.domain, initial_states(spec, cfg)[0])
     shifted = State(shift(init.u, (2, 1)), shift(init.v, (2, 1)))
     rep_a, _ = minimize_on_nehari(spec, cfg, init)
     rep_b, _ = minimize_on_nehari(spec, cfg, shifted)
@@ -447,6 +448,7 @@ def test_non_finite_residual_names_the_iterate(monkeypatch, small_bounded_spec):
         return G
 
     monkeypatch.setattr(solver_module, "grad_l2", poisoned)
-    init = initial_states(small_bounded_spec, SolveConfig(seed=1))[0]
+    init = State.from_pair(small_bounded_spec.domain,
+                          initial_states(small_bounded_spec, SolveConfig(seed=1))[0])
     with pytest.raises(RuntimeError, match=r"^non-finite residual at iterate 2 of start 7$"):
         minimize_on_nehari(small_bounded_spec, SolveConfig(seed=1), init, start_index=7)
