@@ -137,6 +137,7 @@ def _unquote(value: str) -> str:
     return value
 
 
+_as_kind = lambda v: default_config(v).kind   # an unknown kind raises
 _as_floats = lambda v: tuple(float(x) for x in v.split(","))
 _as_ints = lambda v: tuple(int(x) for x in v.split(","))
 _as_expr = lambda v: expr_to_text(parse_expr(_unquote(v)))
@@ -147,7 +148,7 @@ _quoted = lambda text: f'"{text}"'
 # field, parse of the value text, emission of the field value).  A field
 # that is None is not emitted.
 _CONFIG_SCHEMA = (
-    ("problem", "kind", "kind", str, str),
+    ("problem", "kind", "kind", _as_kind, str),
     ("problem", "lengths", "lengths", _as_floats, _joined),
     ("problem", "resolution", "resolution", _as_ints, _joined),
     ("problem", "q", "q", float, str),
@@ -198,6 +199,10 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicated key {key!r} in section [{current}]")
         sections[current][key] = (lineno, value)
 
+    def retired(value):
+        if int(value) != 0:
+            raise ConfigError("the key is retired; only 0 is accepted")
+
     def parsed(section, key, parse):
         lineno, value = sections[section].pop(key)
         try:
@@ -209,13 +214,13 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
     values = {attr: parsed(section, key, parse) for section, key, attr, parse, _ in _CONFIG_SCHEMA
               if key in sections.get(section, {})}
     cfg = replace(default_config(values.get("kind", "dirichlet_box")), command=command, **values)
-    if "recenter_every" in sections.get("solve", {}) \
-            and parsed("solve", "recenter_every", int) != 0:
-        raise ConfigError("[solve] recenter_every is retired; only 0 is accepted")
+    if "recenter_every" in sections.get("solve", {}):
+        parsed("solve", "recenter_every", retired)
 
     for section, entries in sections.items():
         if entries:
-            raise ConfigError(f"unknown key {next(iter(entries))!r} in section [{section}]")
+            key, (lineno, _) = next(iter(entries.items()))
+            raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
     if len(cfg.lengths) != len(cfg.resolution):
         raise ConfigError("lengths and resolution must have the same number of axes")
     return cfg

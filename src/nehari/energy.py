@@ -285,7 +285,7 @@ def grad_l2(spec: ProblemSpec, s):
 
 
 # ---------------------------------------------------------------------------
-# preconditioned conjugate gradients for (-lap_h + V) g = r
+# (-lap_h + V) g = r: exact transform solve, preconditioned conjugate gradients
 # ---------------------------------------------------------------------------
 
 
@@ -426,25 +426,44 @@ def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarra
 _PCG_RTOL = 1e-10
 
 
+def _constant_values(domain: DomainSpec, V: np.ndarray) -> np.ndarray | None:
+    """The value of each potential in ``V`` (its leading axes index them)
+    when every one is a single value throughout, else None."""
+    flat = V.reshape(V.shape[:V.ndim - domain.dimension] + (-1,))
+    first = flat[..., :1]
+    return first[..., 0] if np.all(flat == first) else None
+
+
 def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
                      out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Solve ``(-lap_h + V) x = b`` by preconditioned conjugate gradients.
+    """Solve ``(-lap_h + V) x = b``: exactly by the shift solve when each
+    potential is constant, else by preconditioned conjugate gradients.
 
     Every leading index of ``b`` is a system of its own (``V`` broadcasts
-    against ``b``), with its own step sizes, iteration count and stopping
-    test (residual ``_PCG_RTOL`` relative to ``b``); the systems still
-    iterating advance together, and a converged one leaves the batch.  The
-    preconditioner is the exact constant-coefficient solve at the mean
-    potential of each system, so iteration counts stay small; exceeding the
-    iteration cap signals a genuine defect (the operator is symmetric
-    positive definite).  Returns the solutions (in ``out`` when given) and
-    the iterations summed over the systems.
+    against ``b``).  When each potential of ``V`` is one value throughout,
+    the sine/Fourier shift solve at that value is the exact inverse, and the
+    systems are solved by it with 0 iterations.  Otherwise each system has
+    its own step sizes, iteration count and stopping test (residual
+    ``_PCG_RTOL`` relative to ``b``); the systems still iterating advance
+    together, and a converged one leaves the batch.  The preconditioner is
+    the exact constant-coefficient solve at the mean potential of each
+    system, so iteration counts stay small; exceeding the iteration cap
+    signals a genuine defect (the operator is symmetric positive definite).
+    Returns the solutions (in ``out`` when given) and the iterations summed
+    over the systems.
     """
+    lead = b.shape[:b.ndim - domain.dimension]
     B = b.reshape((-1,) + domain.shape)
+    constant = _constant_values(domain, V)
+    if constant is not None:
+        X = _constant_shift_solve(domain, B, np.broadcast_to(constant, lead).ravel())
+        if out is None:
+            return X.reshape(b.shape), 0
+        out[...] = X.reshape(b.shape)
+        return out, 0
     axes = _trailing_axes(B, domain)
     Vs = np.broadcast_to(V, b.shape).reshape(B.shape)
-    shifts = np.broadcast_to(np.mean(V, axis=_trailing_axes(V, domain)),
-                             b.shape[:b.ndim - domain.dimension]).ravel()
+    shifts = np.broadcast_to(np.mean(V, axis=_trailing_axes(V, domain)), lead).ravel()
     b_norm = np.sqrt(np.add.reduce(B * B, axis=axes, keepdims=True))
     if out is None:
         out = np.empty_like(b)
@@ -510,7 +529,8 @@ def _precondition(spec: ProblemSpec, G: np.ndarray) -> np.ndarray:
 def grad_precond(spec: ProblemSpec, s: State, g: State | None = None) -> State:
     """Gradient representative in the block inner product.
 
-    Solves ``(-lap_h + V_i) g_i = (grad_l2)_i`` per component by conjugate
+    Solves ``(-lap_h + V_i) g_i = (grad_l2)_i`` per component: exactly by
+    the sine/Fourier transform when ``V_i`` is constant, else by conjugate
     gradients to relative residual 1e-10.  Pass ``g`` to reuse an already
     computed L2 gradient.
     """

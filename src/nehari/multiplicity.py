@@ -60,7 +60,7 @@ _DEFLATION_SIGMA = 1.0
 def _block_eigenpairs(domain: DomainSpec, V: np.ndarray, k: int):
     """Lowest ``k`` eigenpairs of the stencil ``-lap_h + V``: ``eigh`` of its
     matrix (the stencil applied to every unit vector) up to 2500 nodes, above
-    that shift-invert Lanczos at zero with conjugate gradients as the inverse,
+    that shift-invert Lanczos at zero with ``_pcg_schrodinger`` as the inverse,
     from a fixed start vector.  scipy is imported here, not at module level,
     so that the commands that never call the eigenbasis do not load it."""
     n = domain.size

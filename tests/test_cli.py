@@ -594,6 +594,26 @@ def test_unparsable_value_exit_code(tmp_path, capsys, section, setting):
         assert "(at byte " in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[problem]\nresolution = 64\nbogus = 1\n",
+     "line 3: unknown key 'bogus' in section [problem]"),
+    ("# a comment\n[problem]\nkind = foo\n",
+     "line 3: bad value for 'kind' in section [problem]: unknown domain kind 'foo'"),
+    ("[problem]\nkind = periodic_torus\n\n[solve]\nstarts = 2\nfoo = 2\n",
+     "line 6: unknown key 'foo' in section [solve]"),
+    ("[solve]\nrecenter_every = 5\n",
+     "line 2: bad value for 'recenter_every' in section [solve]: "),
+])
+def test_unknown_key_and_kind_name_their_line(tmp_path, capsys, text, message):
+    """An unknown key, an unknown domain kind and a retired key set to a
+    value other than 0 are config errors on their line: exit 2, one line."""
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(text)
+    assert main(["validate", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_fibering_reads_one_set_of_ray_moments(tmp_path, monkeypatch):
     """One moment pass projects the state and one serves all 200 samples."""
     counts = {}

@@ -20,8 +20,10 @@ from nehari.grid import (
 )
 from nehari.energy import (
     _DENSE_SINE_NODES,
+    _PCG_RTOL,
     State,
     _constant_shift_solve,
+    _pcg_schrodinger,
     _project_ray,
     _ray_data,
     _shift_symbol,
@@ -509,11 +511,10 @@ def _scipy_shift_solve(domain, rhs, shifts):
 
 
 @st.composite
-def _shift_problems(draw):
-    """A box or torus of dimension 1-3, 1-16 right-hand sides with some
-    entries +0.0 or -0.0, and a positive shift per right-hand side.  Half of
-    the boxes get one axis longer than ``_DENSE_SINE_NODES``, which takes the
-    FFT route: a 1D box on that route alone, a 2D or 3D one on both."""
+def _domains(draw):
+    """A box or torus of dimension 1-3.  Half of the boxes get one axis
+    longer than ``_DENSE_SINE_NODES``, which takes the FFT route: a 1D box
+    on that route alone, a 2D or 3D one on both."""
     dim = draw(st.integers(1, 3))
     top = (64, 12, 6)[dim - 1]
     if draw(st.booleans()):
@@ -526,6 +527,14 @@ def _shift_problems(draw):
                 st.integers(_DENSE_SINE_NODES + 1, _DENSE_SINE_NODES + 64))
         lengths = draw(st.lists(st.floats(0.1, 10.0), min_size=dim, max_size=dim))
         domain = DomainSpec.dirichlet_box(lengths, shape)
+    return domain
+
+
+@st.composite
+def _shift_problems(draw):
+    """A domain from ``_domains``, 1-16 right-hand sides with some entries
+    +0.0 or -0.0, and a positive shift per right-hand side."""
+    domain = draw(_domains())
     rows = draw(st.integers(1, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rhs = rng.standard_normal((rows,) + domain.shape)
@@ -612,6 +621,103 @@ def test_default_box_solves_without_fft(monkeypatch):
     assert report.status == "converged"
     assert counts["_dst1"] > 0 and counts["rfft"] == counts["_dst1"]
     assert "rfftn" not in counts and "irfftn" not in counts
+
+
+def _assert_pcg_contract(domain, V, b, x):
+    """``||(-lap_h + V) x - b|| <= _PCG_RTOL ||b||`` for every system."""
+    axes = tuple(range(b.ndim - domain.dimension, b.ndim))
+    norm = lambda a: np.sqrt(np.sum(a * a, axis=axes))
+    residual = _schrodinger_values(x, V, domain) - b
+    assert np.all(norm(residual) <= _PCG_RTOL * norm(b))
+
+
+@st.composite
+def _constant_potential_problems(draw):
+    """A domain from ``_domains`` with one constant potential, or a pair of
+    them (different values for u and v), and 1-16 right-hand sides."""
+    domain = draw(_domains())
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        V = np.stack([np.full(domain.shape, c) for c in values])
+        lead = (draw(st.integers(1, 8)), 2)
+    else:
+        V = np.full(domain.shape, values[0])
+        lead = (draw(st.integers(1, 16)),)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return domain, V, rng.standard_normal(lead + domain.shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=_constant_potential_problems())
+# constant values whose mean over the grid rounds one ulp off them
+@example(problem=(DomainSpec.dirichlet_box(1.0, 13), np.full(13, 0.3),
+                  np.linspace(-1.0, 1.0, 26).reshape(2, 13)))
+@example(problem=(DomainSpec.periodic_torus([2], 8), np.stack([np.full(16, 1.1), np.full(16, 0.7)]),
+                  np.linspace(-1.0, 1.0, 64).reshape(2, 2, 16)))
+def test_constant_potentials_are_solved_exactly(problem):
+    """With every potential constant, the solve is the shift solve at those
+    values, bit for bit, in 0 iterations, and meets the PCG contract."""
+    domain, V, b = problem
+    x, iterations = _pcg_schrodinger(domain, V, b)
+    assert iterations == 0 and x.shape == b.shape
+    shifts = np.broadcast_to(V.reshape(V.shape[:V.ndim - domain.dimension] + (-1,))[..., 0],
+                             b.shape[:b.ndim - domain.dimension])
+    exact = _constant_shift_solve(domain, b.reshape((-1,) + domain.shape), shifts.ravel())
+    assert x.tobytes() == exact.tobytes()
+    _assert_pcg_contract(domain, V, b, x)
+
+
+def _cosine_potential(domain):
+    return 1.0 + 0.5 * np.cos(2.0 * np.pi * domain.axis_coordinates(0))
+
+
+@pytest.mark.parametrize("varying", ["cosine", "cosine_v_only", "one_ulp"])
+@pytest.mark.parametrize("domain", [DomainSpec.dirichlet_box(1.0, 64),
+                                    DomainSpec.periodic_torus([4], 16)])
+def test_varying_potentials_still_iterate(domain, varying):
+    """A potential that is not one value throughout, even by one ulp at one
+    node or in one component of a pair, goes through conjugate gradients."""
+    V = np.ones(domain.shape)
+    if varying == "one_ulp":
+        V[domain.size // 2] = np.nextafter(1.0, 2.0)
+    elif varying == "cosine":
+        V = _cosine_potential(domain)
+    else:
+        V = np.stack([V, _cosine_potential(domain)])
+    lead = (3,) + V.shape[:V.ndim - domain.dimension]
+    b = np.random.default_rng(5).standard_normal(lead + domain.shape)
+    x, iterations = _pcg_schrodinger(domain, V, b)
+    assert iterations > 0
+    _assert_pcg_contract(domain, V, b, x)
+
+
+def test_default_box_preconditions_without_the_stencil(monkeypatch):
+    """On the default box (V1 = V2 = 1) every preconditioned gradient of a
+    ground-state search is the exact shift solve: no stencil product inside
+    ``_pcg_schrodinger`` and 0 iterations."""
+    energy_module = sys.modules["nehari.energy"]
+    pcg, stencil = energy_module._pcg_schrodinger, energy_module._schrodinger_values
+    seen = {"calls": 0, "iterations": 0, "inside": False, "stencil": 0}
+
+    def counted_pcg(*args, **kwargs):
+        seen["inside"] = True
+        try:
+            result = pcg(*args, **kwargs)
+        finally:
+            seen["inside"] = False
+        seen["calls"] += 1
+        seen["iterations"] += result[1]
+        return result
+
+    def counted_stencil(*args, **kwargs):
+        seen["stencil"] += seen["inside"]
+        return stencil(*args, **kwargs)
+
+    monkeypatch.setattr(energy_module, "_pcg_schrodinger", counted_pcg)
+    monkeypatch.setattr(energy_module, "_schrodinger_values", counted_stencil)
+    report, _ = find_ground_state(make_spec(DomainSpec.dirichlet_box(1.0, 256)), SolveConfig())
+    assert report.status == "converged"
+    assert seen["calls"] > 0 and seen["iterations"] == 0 and seen["stencil"] == 0
 
 
 _NO_SCIPY_RUN = """

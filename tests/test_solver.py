@@ -261,15 +261,16 @@ def test_descent_batches_bounded_by_node_budget(monkeypatch, small_bounded_spec)
 
 def test_ground_state_ties_go_to_the_first_start(monkeypatch, bounded_spec):
     """On the default box at seed 10001 all five starts converge to energies
-    within the Armijo slack of each other; the lowest by exact value is start
-    4, but the tie goes to start 0."""
+    within the Armijo slack of each other; the lowest by exact value is a
+    later start (which one moves with roundoff), but the tie goes to start
+    0."""
     calls = record_descents(monkeypatch)
     rep, _ = find_ground_state(bounded_spec, SolveConfig(seed=10001))
     (_, reports, _), = calls
     energies = [r.energy for r in reports]
     lowest = min(energies)
     assert all(r.status == "converged" for r in reports)
-    assert energies.index(lowest) == 4 and energies[0] != lowest
+    assert energies.index(lowest) != 0
     assert max(energies) - lowest <= solver_module._FUZZ * (abs(lowest) + 1.0)
     assert rep.start_index == 0 and rep.energy == energies[0]
 
