@@ -178,7 +178,9 @@ _SECTIONS = ("problem", "solve", "output")
 def parse_config(text: str, command: str = "validate") -> RunConfig:
     """Parse the sectioned key=value format into a RunConfig; an unknown
     section or key, a key repeated within a section, or a value its key
-    cannot parse is an error, named by line and key.  The retired key of
+    cannot parse is an error, named by line and key; so is a ``lengths``
+    whose axes disagree with ``resolution``, on the later line of the two
+    (the one given, when the other is the default).  The retired key of
     in-descent recentering parses only at its old default 0."""
     sections: dict[str, dict[str, tuple[int, str]]] = {}
     current = None
@@ -211,6 +213,7 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
             raise ConfigError(f"line {lineno}: bad value for {key!r} in section "
                               f"[{section}]: {exc}") from None
 
+    axis_lines = [sections.get("problem", {}).get(key, (0,))[0] for key in ("lengths", "resolution")]
     values = {attr: parsed(section, key, parse) for section, key, attr, parse, _ in _CONFIG_SCHEMA
               if key in sections.get(section, {})}
     cfg = replace(default_config(values.get("kind", "dirichlet_box")), command=command, **values)
@@ -222,7 +225,9 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
             key, (lineno, _) = next(iter(entries.items()))
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
     if len(cfg.lengths) != len(cfg.resolution):
-        raise ConfigError("lengths and resolution must have the same number of axes")
+        raise ConfigError(f"line {max(axis_lines)}: 'lengths' and 'resolution' in section "
+                          "[problem] must have the same number of axes ('lengths' has "
+                          f"{len(cfg.lengths)}, 'resolution' has {len(cfg.resolution)})")
     return cfg
 
 

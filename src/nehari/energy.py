@@ -253,24 +253,13 @@ def e_inner(spec: ProblemSpec, s1: State, s2: State) -> float:
     return h_inner(s1.u, s2.u, spec.V1) + h_inner(s1.v, s2.v, spec.V2)
 
 
-def _components(spec: ProblemSpec):
-    """Per component: its index, potential and nonlinearity."""
-    return ((0, spec.V1.values, spec.f1), (1, spec.V2.values, spec.f2))
-
-
-def _pair_kernel(spec: ProblemSpec, s, component):
-    """Apply ``component(u, v, V, nl)`` to each component ``u`` of the rows of
-    ``s`` (``v`` the other component, ``V`` and ``nl`` those of ``u``): a
-    state gives a state, a pair array ``(rows, 2, *shape)`` a pair array.
-
-    The kernels run one component at a time over all rows, so their working
-    set stays that of one component per row.
-    """
-    S = np.stack(_state_values(spec, s))[None] if isinstance(s, State) else s
-    out = np.empty_like(S)
-    for c, V, nl in _components(spec):
-        out[:, c] = component(S[:, c], S[:, 1 - c], V, nl)
-    return State.from_pair(spec.domain, out[0]) if isinstance(s, State) else out
+def _pair_kernel(spec: ProblemSpec, s, kernel):
+    """Apply ``kernel``, which maps a pair array ``(rows, 2, *shape)`` to a
+    pair array, to ``s``: a pair array directly, a state as a one-row pair
+    array, and then the result comes back as a state."""
+    if not isinstance(s, State):
+        return kernel(s)
+    return State.from_pair(spec.domain, kernel(np.stack(_state_values(spec, s))[None])[0])
 
 
 def grad_l2(spec: ProblemSpec, s):
@@ -279,9 +268,16 @@ def grad_l2(spec: ProblemSpec, s):
     ``s`` is a state, or a pair array ``(rows, 2, *shape)`` whose rows are
     treated at once; the result has the same form.
     """
-    q, lam, dom = spec.q, spec.lam.values, spec.domain
-    return _pair_kernel(spec, s, lambda u, v, V, nl: (
-        _schrodinger_values(u, V, dom) - lam * v - nl.f(u) + np.abs(u) ** (q - 2.0) * u))
+    q, lam = spec.q, spec.lam.values
+
+    def kernel(S):
+        G = _schrodinger_values(S, spec.potential_pair, spec.domain) - lam * S[:, ::-1]
+        for c, nl in enumerate((spec.f1, spec.f2)):
+            G[:, c] -= nl.f(S[:, c])
+        G += np.abs(S) ** (q - 2.0) * S
+        return G
+
+    return _pair_kernel(spec, s, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -426,53 +422,41 @@ def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarra
 _PCG_RTOL = 1e-10
 
 
-def _constant_values(domain: DomainSpec, V: np.ndarray) -> np.ndarray | None:
-    """The value of each potential in ``V`` (its leading axes index them)
-    when every one is a single value throughout, else None."""
-    flat = V.reshape(V.shape[:V.ndim - domain.dimension] + (-1,))
-    first = flat[..., :1]
-    return first[..., 0] if np.all(flat == first) else None
-
-
-def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
-                     out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Solve ``(-lap_h + V) x = b``: exactly by the shift solve when each
-    potential is constant, else by preconditioned conjugate gradients.
+def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve ``(-lap_h + V) x = b``: exactly by the shift solve for each
+    system whose potential is constant, by preconditioned conjugate
+    gradients for the others.
 
     Every leading index of ``b`` is a system of its own (``V`` broadcasts
-    against ``b``).  When each potential of ``V`` is one value throughout,
-    the sine/Fourier shift solve at that value is the exact inverse, and the
-    systems are solved by it with 0 iterations.  Otherwise each system has
-    its own step sizes, iteration count and stopping test (residual
-    ``_PCG_RTOL`` relative to ``b``); the systems still iterating advance
-    together, and a converged one leaves the batch.  The preconditioner is
-    the exact constant-coefficient solve at the mean potential of each
-    system, so iteration counts stay small; exceeding the iteration cap
-    signals a genuine defect (the operator is symmetric positive definite).
-    Returns the solutions (in ``out`` when given) and the iterations summed
-    over the systems.
+    against ``b``).  A system whose potential is one value throughout is
+    solved by the sine/Fourier shift solve at that value, the exact inverse,
+    in 0 iterations.  Each other system has its own step sizes, iteration
+    count and stopping test (residual ``_PCG_RTOL`` relative to ``b``); the
+    systems still iterating advance together, and a converged one leaves
+    the batch.  The preconditioner is the exact constant-coefficient solve
+    at the mean potential of each system, so iteration counts stay small;
+    exceeding the iteration cap signals a genuine defect (the operator is
+    symmetric positive definite).  Returns the solutions, shaped as ``b``,
+    and the iterations summed over the systems.
     """
     lead = b.shape[:b.ndim - domain.dimension]
     B = b.reshape((-1,) + domain.shape)
-    constant = _constant_values(domain, V)
-    if constant is not None:
-        X = _constant_shift_solve(domain, B, np.broadcast_to(constant, lead).ravel())
-        if out is None:
-            return X.reshape(b.shape), 0
-        out[...] = X.reshape(b.shape)
-        return out, 0
+    flat = V.reshape(V.shape[:V.ndim - domain.dimension] + (-1,))
+    constant = np.broadcast_to(np.all(flat == flat[..., :1], axis=-1), lead).ravel()
+    values = np.broadcast_to(flat[..., 0], lead).ravel()
+    if constant.all():
+        return _constant_shift_solve(domain, B, values).reshape(b.shape), 0
+    X = np.zeros_like(B)
+    if constant.any():
+        X[constant] = _constant_shift_solve(domain, B[constant], values[constant])
     axes = _trailing_axes(B, domain)
     Vs = np.broadcast_to(V, b.shape).reshape(B.shape)
     shifts = np.broadcast_to(np.mean(V, axis=_trailing_axes(V, domain)), lead).ravel()
     b_norm = np.sqrt(np.add.reduce(B * B, axis=axes, keepdims=True))
-    if out is None:
-        out = np.empty_like(b)
-    X = out.reshape(B.shape)
-    X[...] = 0.0
     iterations = np.zeros(len(B), dtype=int)
-    live = np.flatnonzero(b_norm != 0.0)
+    live = np.flatnonzero(~constant & (b_norm.ravel() != 0.0))
     if not live.size:
-        return out, 0
+        return X.reshape(b.shape), 0
     if live.size < len(B):
         B, Vs, shifts, b_norm = B[live], Vs[live], shifts[live], b_norm[live]
 
@@ -494,7 +478,7 @@ def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
             iterations[live[done]] = k
             keep = ~done
             if not keep.any():
-                return out, int(iterations.sum())
+                return X.reshape(b.shape), int(iterations.sum())
             live, x, r, p, rz, Vs, shifts, b_norm = (
                 a[keep] for a in (live, x, r, p, rz, Vs, shifts, b_norm))
         z = _constant_shift_solve(domain, r, shifts)
@@ -506,24 +490,10 @@ def _pcg_schrodinger(domain: DomainSpec, V: np.ndarray, b: np.ndarray,
     )
 
 
-# Node budget of one batch.  Grids with at most this many nodes per pair
-# solve both components of all rows as one batch of systems (halving the
-# per-call overhead of small grids), larger grids one component at a time
-# (a 256 KB field stays in cache).  A descent batch takes as many rows as
-# fit, at least one: one row on the 256^2 torus allocates 8.7 MB.
-_JOINT_PAIR_NODES = 2 ** 15
-
-
 def _precondition(spec: ProblemSpec, G: np.ndarray) -> np.ndarray:
-    """Block-norm representative of the L2 gradients ``G`` (pair array rows)."""
-    dom = spec.domain
-    if 2 * dom.size <= _JOINT_PAIR_NODES:
-        D, _ = _pcg_schrodinger(dom, spec.potential_pair, G)
-        return D
-    D = np.empty_like(G)
-    for c, V, _ in _components(spec):
-        _pcg_schrodinger(dom, V, G[:, c], out=D[:, c])
-    return D
+    """Block-norm representative of the L2 gradients ``G`` (pair array rows):
+    both components of every row are solved as one batch of systems."""
+    return _pcg_schrodinger(spec.domain, spec.potential_pair, G)[0]
 
 
 def grad_precond(spec: ProblemSpec, s: State, g: State | None = None) -> State:
@@ -561,10 +531,18 @@ def xi_grad_l2(spec: ProblemSpec, s):
     the minimized objective is not ray-critical (deflated energies).  Takes
     and returns a state or a pair array, as :func:`grad_l2` does.
     """
-    q, lam, dom = spec.q, spec.lam.values, spec.domain
-    return _pair_kernel(spec, s, lambda u, v, V, nl: (
-        2.0 * (_schrodinger_values(u, V, dom) - lam * v)
-        - nl.f_prime(u) * u - nl.f(u) + q * np.abs(u) ** (q - 2.0) * u))
+    q, lam = spec.q, spec.lam.values
+
+    def kernel(S):
+        X = 2.0 * (_schrodinger_values(S, spec.potential_pair, spec.domain) - lam * S[:, ::-1])
+        for c, nl in enumerate((spec.f1, spec.f2)):
+            u = S[:, c]
+            X[:, c] -= nl.f_prime(u) * u
+            X[:, c] -= nl.f(u)
+        X += q * np.abs(S) ** (q - 2.0) * S
+        return X
+
+    return _pair_kernel(spec, s, kernel)
 
 
 def fibering_value(spec: ProblemSpec, s: State, t: float) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import DomainSpec, _cell_periods, _roll_cells, _schrodinger_values
 from .model import ProblemSpec
-from .energy import State, _pair_kernel, _pcg_schrodinger, _ray_data, grad_l2, xi_grad_l2
+from .energy import State, _pcg_schrodinger, _ray_data, grad_l2, xi_grad_l2
 from .solver import (
     SolveConfig,
     SolveReport,
@@ -305,8 +305,7 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
 
 def _apply_block(spec: ProblemSpec, S: np.ndarray) -> np.ndarray:
     """Block operator ``(-lap+V1, -lap+V2)`` applied to the rows of a pair array."""
-    dom = spec.domain
-    return _pair_kernel(spec, S, lambda u, v, V, nl: _schrodinger_values(u, V, dom))
+    return _schrodinger_values(S, spec.potential_pair, spec.domain)
 
 
 def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, known: np.ndarray,

@@ -603,10 +603,17 @@ def test_unparsable_value_exit_code(tmp_path, capsys, section, setting):
      "line 6: unknown key 'foo' in section [solve]"),
     ("[solve]\nrecenter_every = 5\n",
      "line 2: bad value for 'recenter_every' in section [solve]: "),
+    ("[problem]\nlengths = 1.0, 2.0\n",
+     "line 2: 'lengths' and 'resolution' in section [problem] must have the same "
+     "number of axes ('lengths' has 2, 'resolution' has 1)"),
+    ("[problem]\nresolution = 8, 8\n\nlengths = 1.0\nq = 3\n",
+     "line 4: 'lengths' and 'resolution' in section [problem] must have the same "
+     "number of axes ('lengths' has 1, 'resolution' has 2)"),
 ])
 def test_unknown_key_and_kind_name_their_line(tmp_path, capsys, text, message):
-    """An unknown key, an unknown domain kind and a retired key set to a
-    value other than 0 are config errors on their line: exit 2, one line."""
+    """An unknown key, an unknown domain kind, a retired key set to a value
+    other than 0 and ``lengths`` and ``resolution`` of different axis counts
+    are config errors on their line: exit 2, one line."""
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(text)
     assert main(["validate", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2

@@ -24,6 +24,7 @@ from nehari.energy import (
     State,
     _constant_shift_solve,
     _pcg_schrodinger,
+    _precondition,
     _project_ray,
     _ray_data,
     _shift_symbol,
@@ -42,6 +43,8 @@ from nehari.energy import (
     norm_E,
     xi_grad_l2,
 )
+from nehari.model import Nonlinearity, ProblemSpec
+from nehari.multiplicity import _apply_block
 from nehari.solver import SolveConfig, find_ground_state
 from conftest import count_calls, make_spec, random_state
 
@@ -718,6 +721,97 @@ def test_default_box_preconditions_without_the_stencil(monkeypatch):
     report, _ = find_ground_state(make_spec(DomainSpec.dirichlet_box(1.0, 256)), SolveConfig())
     assert report.status == "converged"
     assert seen["calls"] > 0 and seen["iterations"] == 0 and seen["stencil"] == 0
+
+
+def _pair_problem(domain, seed, rows, varying):
+    """A problem on ``domain`` with distinct nonlinearities and ``rows`` random
+    pair rows.  ``varying`` flags which of V1, V2 and lambda vary over the
+    grid (V1 and V2 within a factor 3 of a random level), the others are
+    constant."""
+    rng = np.random.default_rng(seed)
+
+    def field(vary, level):
+        values = np.full(domain.shape, level)
+        if vary:
+            values = values * (1.0 + 0.5 * rng.uniform(-1.0, 1.0, domain.shape))
+        return GridFunction(domain, values)
+
+    V1, V2, lam = (field(vary, level) for vary, level in
+                   zip(varying, (rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0))))
+    spec = ProblemSpec(domain=domain, q=rng.uniform(2.2, 3.8),
+                       f1=Nonlinearity(((1.0, 4.0), (0.5, 3.5))), f2=Nonlinearity(((0.7, 4.5),)),
+                       V1=V1, V2=V2, lam=lam, delta=0.5)
+    scales = rng.uniform(1e-2, 1e2, (rows, 2) + (1,) * domain.dimension)
+    return spec, rng.standard_normal((rows, 2) + domain.shape) * scales
+
+
+@st.composite
+def _pair_problems(draw):
+    """A problem of ``_pair_problem`` on a domain of ``_domains`` with 1-6 rows."""
+    return _pair_problem(draw(_domains()), draw(st.integers(0, 2 ** 32 - 1)),
+                         draw(st.integers(1, 6)),
+                         draw(st.tuples(st.booleans(), st.booleans(), st.booleans())))
+
+
+def _component_kernels(spec, S):
+    """``grad_l2``, ``xi_grad_l2``, the block operator and the preconditioned
+    ``grad_l2`` of the rows of ``S``, written one component at a time."""
+    q, lam, dom = spec.q, spec.lam.values, spec.domain
+    grad, xi, block, precond = (np.empty_like(S) for _ in range(4))
+    for c, V, nl in ((0, spec.V1.values, spec.f1), (1, spec.V2.values, spec.f2)):
+        u, v = S[:, c], S[:, 1 - c]
+        block[:, c] = _schrodinger_values(u, V, dom)
+        grad[:, c] = block[:, c] - lam * v - nl.f(u) + np.abs(u) ** (q - 2.0) * u
+        xi[:, c] = (2.0 * (block[:, c] - lam * v) - nl.f_prime(u) * u - nl.f(u)
+                    + q * np.abs(u) ** (q - 2.0) * u)
+        precond[:, c] = _pcg_schrodinger(dom, V, grad[:, c])[0]
+    return grad, xi, block, precond
+
+
+def _pair_kernels(spec, S):
+    """The same four kernels as the library computes them on the pair array."""
+    G = grad_l2(spec, S)
+    return G, xi_grad_l2(spec, S), _apply_block(spec, S), _precondition(spec, G)
+
+
+def _has_matrix_axis(domain):
+    """Whether the shift solve on ``domain`` transforms an axis by a product
+    with the sine matrix."""
+    return not domain.periodic and min(domain.shape) <= _DENSE_SINE_NODES
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_pair_problems())
+# above 2^15 nodes per pair: a 2D torus and a 3D box on the dense sine route,
+# both with every field varying
+@example(problem=_pair_problem(DomainSpec.periodic_torus([8, 8], 24), 1, 3, (True,) * 3))
+@example(problem=_pair_problem(DomainSpec.dirichlet_box((1.0, 1.0, 1.0), (33, 33, 33)),
+                               2, 2, (True,) * 3))
+def test_pair_kernels_match_the_component_formulas(problem):
+    """The gradients, the block operator and its inverse act on whole pair
+    arrays and give, bit for bit, the component-at-a-time formulas; every row
+    of a batch is what that row gives alone, as a pair array and as a state.
+
+    The inverse is held to bits only where the shift solve has no sine-matrix
+    axis: OpenBLAS may round a row of a matrix product differently with a
+    different number of lines (at 17 nodes, 2 or 3 lines against 4 or more),
+    and the component formulas solve half as many lines as the pair route.
+    There it is held to the solve's residual contract.
+    """
+    spec, S = problem
+    dom = spec.domain
+    exact = 3 if _has_matrix_axis(dom) else 4
+    kernels = _pair_kernels(spec, S)
+    for got, want in zip(kernels[:exact], _component_kernels(spec, S)):
+        assert got.shape == S.shape and got.tobytes() == want.tobytes()
+    for k in range(len(S)):
+        alone = _pair_kernels(spec, S[k:k + 1])
+        for a, b in zip(alone[:exact], kernels):
+            assert a.tobytes() == b[k:k + 1].tobytes()
+    _assert_pcg_contract(dom, spec.potential_pair, kernels[0], kernels[3])
+    s = State.from_pair(dom, S[0])
+    assert grad_l2(spec, s).pair().tobytes() == kernels[0][0].tobytes()
+    assert xi_grad_l2(spec, s).pair().tobytes() == kernels[1][0].tobytes()
 
 
 _NO_SCIPY_RUN = """

@@ -246,7 +246,7 @@ def test_descent_batches_bounded_by_node_budget(monkeypatch, small_bounded_spec)
     for budget in (None, 2 * 2 * small_bounded_spec.domain.size):
         with monkeypatch.context() as m:
             if budget is not None:
-                m.setattr(solver_module, "_JOINT_PAIR_NODES", budget)
+                m.setattr(solver_module, "_BATCH_NODES", budget)
             calls = record_descents(m)
             best = find_ground_state(small_bounded_spec, cfg)
         results[budget] = calls[-1][1:], best   # the outermost call returns last
