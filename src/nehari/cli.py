@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import DomainSpec, GridFunction, _format_record, grid_function_to_csv, \
-    save_grid_function
+from .grid import DomainError, DomainSpec, GridFunction, _format_record, \
+    grid_function_to_csv, save_grid_function
 from .model import Nonlinearity, ProblemSpec, ValidationError, validate_problem
 from .energy import State, _ray_data, _state_values, energy, fibering_project
 from .solver import SolveConfig, SolverStallError, decay_fit, find_ground_state, \
@@ -453,10 +453,18 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            cfg = parse_config(Path(args.config).read_text(), args.command)
+            text = Path(args.config).read_text()
+            cfg = parse_config(text, args.command)
+            build_domain(cfg)
         else:
             kind = "periodic_torus" if args.command == "decay" else "dirichlet_box"
             cfg = replace(default_config(kind), command=args.command)
+    except DomainError as exc:   # an error on the later line of the keys at fault
+        lines = {l.partition("=")[0].strip(): n for n, l in enumerate(text.splitlines(), 1)}
+        lineno, key = max((lines.get(key, 0), key) for key in exc.keys)
+        print(f"error: line {lineno}: bad value for {key!r} in section [problem]: {exc}",
+              file=sys.stderr)
+        return 2
     except (OSError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from numpy.fft import irfftn, rfft, rfftn
 from .grid import (
     DomainSpec,
     GridFunction,
+    _csum,
     _format_record,
     _gradient_energy,
     _schrodinger_values,
@@ -241,16 +242,16 @@ def coercive_form(spec: ProblemSpec, s: State) -> float:
 
 
 def norm_E(spec: ProblemSpec, s: State) -> float:
-    """The block norm ``||s|| = (||u||_{V1}^2 + ||v||_{V2}^2)^(1/2)``."""
-    rd = _ray_data(spec, *_state_values(spec, s))
-    return float(np.sqrt(rd.norm_sq))
+    """The block norm ``||s|| = (||u||_{V1}^2 + ||v||_{V2}^2)^(1/2)``: ``e_inner(s, s)^(1/2)``."""
+    return math.sqrt(e_inner(spec, s, s))
 
 
 def e_inner(spec: ProblemSpec, s1: State, s2: State) -> float:
-    """Block inner product of two states (no coupling term)."""
-    from .grid import h_inner
-
-    return h_inner(s1.u, s2.u, spec.V1) + h_inner(s1.v, s2.v, spec.V2)
+    """Block inner product ``<(-lap_h + V) s1, s2>_h``, ``V = (V1, V2)``, no
+    coupling term: one pairing of the pair arrays, summed in sorted order."""
+    dom = spec.domain
+    S1, S2 = np.stack(_state_values(spec, s1)), np.stack(_state_values(spec, s2))
+    return _csum(_schrodinger_values(S1, spec.potential_pair, dom) * S2) * dom.cell_volume
 
 
 def _pair_kernel(spec: ProblemSpec, s, kernel):

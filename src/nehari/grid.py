@@ -15,10 +15,11 @@ Dirichlet energy uses forward differences (including the boundary
 interval on Dirichlet domains).  This pairing is summation-by-parts
 exact:  ``<-lap(f), f>_h  ==  sum |D+ f|^2 h^N``  holds up to roundoff,
 which the variational solver relies on.  All quadrature is the rectangle
-rule with weight ``h^N``; the scalar reductions behind the public norms
-and inner products accumulate in a canonical (sorted) order, so they are
-bitwise invariant under any permutation of the nodes, in particular
-under periodic shifts.
+rule with weight ``h^N``.  Functional values (the ray moments) use the
+forward differences, and every norm and inner product is the pairing
+``<(-lap_h + V) f, g>_h``: summed in sorted order (``_csum``) by the public
+ones, so they are bitwise invariant under any permutation of the nodes,
+in particular under periodic shifts, and plainly inside (``_pair_inner``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 __all__ = [
+    "DomainError",
     "DomainSpec",
     "GridFunction",
     "laplacian_apply",
@@ -49,6 +51,14 @@ __all__ = [
 _KINDS = ("dirichlet_box", "periodic_torus")
 
 
+class DomainError(ValueError):
+    """An undiscretizable domain; ``keys`` names ``resolution`` and/or ``lengths``."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys or ("resolution", "lengths")
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Discretized domain: dimension, kind, points per axis and extents.
@@ -65,27 +75,26 @@ class DomainSpec:
 
     def __post_init__(self):
         if self.dimension not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.dimension}")
+            raise DomainError(f"dimension must be 1, 2 or 3, got {self.dimension}")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
         if len(self.shape) != self.dimension or len(self.lengths) != self.dimension:
-            raise ValueError("shape and lengths must have one entry per axis")
+            raise DomainError("shape and lengths must have one entry per axis")
         if any(n < 1 for n in self.shape):
-            raise ValueError("resolution must be positive")
-        if any(l <= 0 for l in self.lengths):
-            raise ValueError("lengths must be positive")
+            raise DomainError("resolution must be positive", "resolution")
+        if not all(0 < l < np.inf for l in self.lengths):   # before int(l) of a period
+            raise DomainError("lengths must be positive and finite", "lengths")
         if self.kind == "periodic_torus":
             for n, p in zip(self.shape, self.lengths):
                 if p != int(p):
-                    raise ValueError("torus periods must be integers")
+                    raise DomainError("torus periods must be integers", "lengths")
                 m, r = divmod(n, int(p))
                 if r != 0 or m < 2:
-                    raise ValueError(
+                    raise DomainError(
                         "periodic resolution must be an integer multiple m >= 2 "
-                        f"of the period (got {n} points for period {int(p)})"
-                    )
+                        f"of the period (got {n} points for period {int(p)})")
 
     @staticmethod
     def dirichlet_box(lengths, shape) -> "DomainSpec":
@@ -200,8 +209,16 @@ def _require_same_domain(*fs: GridFunction) -> DomainSpec:
 
 
 def _csum(arr: np.ndarray) -> float:
-    """Permutation-invariant reduction: sum in sorted order."""
+    """Permutation-invariant reduction of the public norms: sum in sorted order."""
     return float(np.sum(np.sort(arr, axis=None)))
+
+
+def _pair_inner(domain, a: np.ndarray, b: np.ndarray):
+    """L2 inner products of pair arrays, row by row, by plain sums: the metric
+    reduction inside the program (descent residual and slopes, orbit realizer)."""
+    prod = a * b
+    sums = np.sum(prod, axis=tuple(range(2, prod.ndim)))
+    return (sums[..., 0] + sums[..., 1]) * domain.cell_volume
 
 
 def _neighbor_sum(a: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
@@ -309,33 +326,20 @@ def _gradient_energy(a: np.ndarray, domain: DomainSpec):
     return total
 
 
-def _gradient_inner(a: np.ndarray, b: np.ndarray, domain: DomainSpec) -> float:
-    vol = domain.cell_volume
-    total = 0.0
-    for axis in range(domain.dimension):
-        h = domain.spacing[axis]
-        da = _forward_difference(a, axis, domain)
-        db = _forward_difference(b, axis, domain)
-        total += _csum(da * db) * vol / (h * h)
-    return total
-
-
 def h_norm_sq(f: GridFunction, V) -> float:
-    """Discrete ``||f||_V^2 = sum |D+ f|^2 h^N + sum V f^2 h^N``.
-
-    ``V`` must be nonnegative; negative entries are rejected.
-    """
+    """``||f||_V^2 = <(-lap_h + V) f, f>_h = sum |D+ f|^2 h^N + sum V f^2 h^N``
+    for a nonnegative ``V`` (negative entries are rejected)."""
     if np.any(_potential_values(V, f.domain) < 0):
         raise ValueError("potential must be nonnegative")
     return h_inner(f, f, V)
 
 
 def h_inner(f: GridFunction, g: GridFunction, V) -> float:
-    """Inner product of the ``h_norm_sq`` quadratic form."""
+    """``<(-lap_h + V) f, g>_h`` summed in sorted order: bitwise invariant
+    under periodic shifts, symmetric in ``f`` and ``g`` to roundoff."""
     d = _require_same_domain(f, g)
     Va = _potential_values(V, d)
-    vol = d.cell_volume
-    return _gradient_inner(f.values, g.values, d) + _csum(Va * f.values * g.values) * vol
+    return _csum(_schrodinger_values(f.values, Va, d) * g.values) * d.cell_volume
 
 
 def l2_inner(f: GridFunction, g: GridFunction) -> float:

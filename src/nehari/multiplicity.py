@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import DomainSpec, _cell_periods, _roll_cells, _schrodinger_values
+from .grid import DomainSpec, _cell_periods, _pair_inner, _roll_cells, _schrodinger_values
 from .model import ProblemSpec
 from .energy import State, _pcg_schrodinger, _ray_data, grad_l2, xi_grad_l2
 from .solver import (
@@ -31,7 +31,6 @@ from .solver import (
     SolveReport,
     _descend,
     _EnergyObjective,
-    _pair_inner,
     find_ground_state,
     initial_states,
 )
@@ -507,9 +506,9 @@ class _DeflatedObjective:
         self.applied = _apply_block(spec, self.known)
 
     def value(self, S: np.ndarray, energy: np.ndarray) -> tuple[np.ndarray, dict]:
-        dist, sign, ip, shift, _, _ = _orbit_realizer(self.spec, S, self.known, self.applied)
+        dist, sign, ip, shift, n1, _ = _orbit_realizer(self.spec, S, self.known, self.applied)
         dist = np.maximum(dist, 1e-150)
-        extra = {"dist": dist, "sign": sign, "ip": ip, "shift": shift,
+        extra = {"dist": dist, "sign": sign, "ip": ip, "shift": shift, "n1": n1,
                  "factor": 1.0 + _DEFLATION_SIGMA / dist ** 2}
         return energy * np.prod(extra["factor"], axis=1), extra
 
@@ -538,13 +537,12 @@ class _DeflatedObjective:
         """Armijo slope of the value along ``-D``: ``-<G, D>`` corrected by
         the implicit change of the fibering scale along ``D``, since the
         retraction kills the ray component (a row with zero radial
-        derivative adds a signed zero)."""
+        derivative adds a signed zero); ``dist^2`` terms use the realizer's ``||s||^2``."""
         dom = self.spec.domain
         pi, weights = self._weights(pts)
         radial = pi * pts.moments.xi()
-        nsq = pts.moments.norm_sq
         for k in range(len(self.known)):
-            radial = radial + weights[:, k] * 2.0 * (nsq - pts.extra["ip"][:, k])
+            radial = radial + weights[:, k] * 2.0 * (pts.extra["n1"] - pts.extra["ip"][:, k])
         xi_d = -_pair_inner(dom, xi_grad_l2(self.spec, pts.S), D)
         return -_pair_inner(dom, G, D) - xi_d / pts.moments.xi_slope() * radial
 

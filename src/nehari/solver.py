@@ -24,7 +24,7 @@ import numpy as np
 # in the package import instead of the first solve
 from numpy.random import default_rng
 
-from .grid import _format_record, local_mass_sup, shift
+from .grid import _format_record, _pair_inner, local_mass_sup, shift
 from .model import ProblemSpec
 from .energy import (
     State,
@@ -166,18 +166,6 @@ class _EnergyObjective:
         return -_pair_inner(self.spec.domain, G, D)
 
 
-def _pair_inner(domain, a: np.ndarray, b: np.ndarray):
-    """L2 inner products of pair arrays, row by row, by plain sums: the
-    reduction the moments use.
-
-    The descent's residual and slopes need no shift-exact reduction (the
-    sorted ``_csum`` behind the public norms is kept for that contract).
-    """
-    prod = a * b
-    sums = np.sum(prod, axis=tuple(range(2, prod.ndim)))
-    return (sums[..., 0] + sums[..., 1]) * domain.cell_volume
-
-
 def _bump_values(domain, center, width):
     d2 = np.zeros(domain.shape)
     for a, x in enumerate(domain.meshgrid()):
@@ -257,10 +245,10 @@ def _spectral_steps(domain, pts: _Points, G: np.ndarray, D: np.ndarray, memory) 
 _FUZZ = 8.0 * np.finfo(float).eps
 
 
-# Node budget of one descent batch: a batch takes as many rows as fit,
-# at least one.  On the 256^2 torus a one-row descent raises the peak RSS
-# (ru_maxrss) by 8.8 MB over that of its setup, and each further row of
-# its batch by 8.5 MB.
+# Node budget of one descent batch: a batch takes as many rows as fit, at
+# least one.  On the 256^2 torus a one-row descent peaks 9.2 MB above what
+# it is handed (tracemalloc) and 7.0 MB above its setup's peak RSS
+# (ru_maxrss); each further row of its batch adds 7.9 MB (tracemalloc).
 _BATCH_NODES = 2 ** 15
 
 

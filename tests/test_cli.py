@@ -609,16 +609,58 @@ def test_unparsable_value_exit_code(tmp_path, capsys, section, setting):
     ("[problem]\nresolution = 8, 8\n\nlengths = 1.0\nq = 3\n",
      "line 4: 'lengths' and 'resolution' in section [problem] must have the same "
      "number of axes ('lengths' has 1, 'resolution' has 2)"),
+    ("[problem]\nlengths = inf\n",
+     "line 2: bad value for 'lengths' in section [problem]: lengths must be positive and "
+     "finite"),
+    ("[problem]\nlengths = 1e400\n",
+     "line 2: bad value for 'lengths' in section [problem]: lengths must be positive and "
+     "finite"),
+    ("[problem]\nkind = periodic_torus\nlengths = inf, 16\n",
+     "line 3: bad value for 'lengths' in section [problem]: lengths must be positive and "
+     "finite"),
+    ("[problem]\nkind = periodic_torus\nlengths = nan, 16\n",
+     "line 3: bad value for 'lengths' in section [problem]: lengths must be positive and "
+     "finite"),
+    ("[problem]\nresolution = 0\n",
+     "line 2: bad value for 'resolution' in section [problem]: resolution must be positive"),
+    ("[problem]\nlengths = -1\n",
+     "line 2: bad value for 'lengths' in section [problem]: lengths must be positive and "
+     "finite"),
+    ("[problem]\nkind = periodic_torus\nlengths = 1.5, 16\n",
+     "line 3: bad value for 'lengths' in section [problem]: torus periods must be integers"),
+    ("[problem]\nkind = periodic_torus\nresolution = 250, 256\n",
+     "line 3: bad value for 'resolution' in section [problem]: periodic resolution must be "
+     "an integer multiple m >= 2 of the period (got 250 points for period 16)"),
+    ("[problem]\nkind = periodic_torus\nresolution = 64, 64\nlengths = 48, 16\n",
+     "line 4: bad value for 'lengths' in section [problem]: periodic resolution must be "
+     "an integer multiple m >= 2 of the period (got 64 points for period 48)"),
+    ("[problem]\nlengths = 1, 1, 1, 1\nresolution = 4, 4, 4, 4\n",
+     "line 3: bad value for 'resolution' in section [problem]: dimension must be 1, 2 or 3, "
+     "got 4"),
 ])
 def test_unknown_key_and_kind_name_their_line(tmp_path, capsys, text, message):
     """An unknown key, an unknown domain kind, a retired key set to a value
-    other than 0 and ``lengths`` and ``resolution`` of different axis counts
-    are config errors on their line: exit 2, one line."""
+    other than 0, ``lengths`` and ``resolution`` of different axis counts
+    and a domain they cannot make are config errors on their line: exit 2,
+    one line."""
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(text)
     assert main(["validate", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "ground", "fibering", "decay", "fountain"])
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+def test_non_finite_lengths_are_config_errors(tmp_path, capsys, command, value):
+    """A non-finite period or side length stops every command at the config:
+    exit 2, one line naming the line and the key."""
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"[problem]\nkind = periodic_torus\n\nlengths = {value}, 16\n")
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: line 4: bad value for 'lengths' in section [problem]: "
+                   "lengths must be positive and finite\n")
 
 
 def test_fibering_reads_one_set_of_ray_moments(tmp_path, monkeypatch):

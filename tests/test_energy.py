@@ -1,5 +1,6 @@
 """Energy functional, gradients, constraint functional and fibering map."""
 
+import math
 import os
 import subprocess
 import sys
@@ -14,9 +15,12 @@ from nehari.grid import (
     DomainSpec,
     GridFunction,
     _schrodinger_values,
+    h_inner,
+    h_norm_sq,
     l2_inner,
     l2_norm_sq,
     schrodinger_apply,
+    shift,
 )
 from nehari.energy import (
     _DENSE_SINE_NODES,
@@ -845,3 +849,86 @@ def test_solves_load_no_scipy():
     h = 1.0 / 65.0
     exact = [4.0 / h ** 2 * np.sin(np.pi * k * h / 2.0) ** 2 + 1.0 for k in (1, 1, 2)]
     np.testing.assert_allclose([float(x) for x in proc.stdout.split()], exact, rtol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the metric route: one operator pairing, summed in sorted order
+# ---------------------------------------------------------------------------
+
+
+_METRIC_RTOL = 1e-13   # symmetry and moment agreement, relative to ||s1|| ||s2||
+
+
+@st.composite
+def _metric_problems(draw):
+    """A domain from ``_domains``, a problem on it with a varying ``V1`` (cell
+    periodic on tori) and a constant or varying ``V2``, and two states whose
+    components are random, scaled, or zero."""
+    domain = draw(_domains())
+    V2 = 2.0 if draw(st.booleans()) else (lambda *x: 1.5 + np.cos(2.0 * np.pi * x[-1]))
+    spec = make_spec(domain, V1=lambda *x: 1.0 + 0.5 * np.sin(2.0 * np.pi * x[0]),
+                     V2=V2, lam=0.1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    states = []
+    for _ in range(2):
+        amplitude = draw(st.floats(1e-3, 1e3))
+        support = draw(st.sampled_from(["both", "u", "v"]))
+        u = amplitude * rng.standard_normal(domain.shape) * (support != "v")
+        v = amplitude * rng.standard_normal(domain.shape) * (support != "u")
+        states.append(State.from_values(domain, u, v))
+    return spec, *states
+
+
+def _shifted(s, z):
+    return State(shift(s.u, z), shift(s.v, z))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=_metric_problems())
+def test_metric_route_is_one_sorted_operator_pairing(problem):
+    """``e_inner``, ``norm_E`` and ``h_inner`` are bitwise invariant under
+    every cell shift of a torus; ``norm_E`` is ``sqrt(e_inner(s, s))`` bit
+    for bit; ``e_inner`` is symmetric, and ``norm_E^2`` agrees with the
+    moments' forward-difference ``norm_sq``, to ``_METRIC_RTOL``."""
+    spec, s1, s2 = problem
+    dom = spec.domain
+    n1, n2 = norm_E(spec, s1), norm_E(spec, s2)
+    assert n1 == math.sqrt(e_inner(spec, s1, s1))
+    assert n2 == math.sqrt(e_inner(spec, s2, s2))
+    assert abs(e_inner(spec, s1, s2) - e_inner(spec, s2, s1)) <= _METRIC_RTOL * n1 * n2
+    assert abs(h_inner(s1.u, s2.u, spec.V1) - h_inner(s2.u, s1.u, spec.V1)) \
+        <= _METRIC_RTOL * n1 * n2
+    for s, n in ((s1, n1), (s2, n2)):
+        assert abs(n * n - _ray_data(spec, s.u.values, s.v.values).norm_sq) \
+            <= _METRIC_RTOL * n * n
+    if not dom.periodic:
+        return
+    ip, hu, hv = (e_inner(spec, s1, s2), h_inner(s1.u, s2.u, spec.V1),
+                  h_inner(s1.v, s2.v, spec.V2))
+    for z in np.ndindex(tuple(int(p) for p in dom.lengths)):
+        t1, t2 = _shifted(s1, z), _shifted(s2, z)
+        assert norm_E(spec, t1) == n1 and norm_E(spec, t2) == n2
+        assert e_inner(spec, t1, t2) == ip
+        assert h_inner(t1.u, t2.u, spec.V1) == hu and h_inner(t1.v, t2.v, spec.V2) == hv
+
+
+def test_metric_route_runs_no_moment_pass(monkeypatch, bounded_2d_spec, periodic_spec_1d):
+    """``norm_E``, ``e_inner`` and ``h_inner`` pair the operator with the
+    state: no ray moments and no forward-difference energy."""
+    calls = []
+    grid_module, energy_module = sys.modules["nehari.grid"], sys.modules["nehari.energy"]
+    for module, name in ((grid_module, "_gradient_energy"), (energy_module, "_gradient_energy"),
+                         (energy_module, "_ray_data")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    rng = np.random.default_rng(19)
+    for spec in (bounded_2d_spec, periodic_spec_1d):
+        s1, s2 = random_state(spec, rng), random_state(spec, rng)
+        norm_E(spec, s1)
+        e_inner(spec, s1, s2)
+        h_inner(s1.u, s2.u, spec.V1)
+        h_norm_sq(s1.v, spec.V2)
+    assert calls == []
+    energy_module._ray_data(spec, s1.u.values, s1.v.values)   # the counters are live
+    assert calls == ["_ray_data", "_gradient_energy", "_gradient_energy"]

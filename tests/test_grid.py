@@ -7,10 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nehari.grid import (
+    DomainError,
     DomainSpec,
     GridFunction,
     _ball_offsets,
     _forward_difference,
+    _gradient_energy,
     _laplacian_values,
     _neighbor_sum,
     grid_function_to_csv,
@@ -36,6 +38,28 @@ def test_domain_validation():
         DomainSpec(1, "periodic_torus", (4,), (4,))    # only 1 point per cell
     with pytest.raises(ValueError):
         DomainSpec(1, "dirichlet_box", (0,), (1.0,))
+    # non-finite lengths are rejected before a torus period meets int()
+    for bad in (np.inf, -np.inf, np.nan, float("1e400")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DomainSpec(1, "dirichlet_box", (8,), (bad,))
+        with pytest.raises(ValueError, match="positive and finite"):
+            DomainSpec(2, "periodic_torus", (32, 32), (bad, 16.0))
+
+
+@pytest.mark.parametrize("kind, shape, lengths, message, keys", [
+    ("periodic_torus", (32, 32), (np.nan, 16.0), "positive and finite", ("lengths",)),
+    ("dirichlet_box", (8,), (0.0,), "positive and finite", ("lengths",)),
+    ("dirichlet_box", (0,), (1.0,), "resolution must be positive", ("resolution",)),
+    ("periodic_torus", (8,), (1.5,), "torus periods must be integers", ("lengths",)),
+    ("periodic_torus", (10,), (4.0,), "integer multiple", ("resolution", "lengths")),
+    ("dirichlet_box", (8,) * 4, (1.0,) * 4, "dimension must be", ("resolution", "lengths")),
+])
+def test_domain_errors_name_their_keys(kind, shape, lengths, message, keys):
+    """A domain that cannot be discretized raises a ``DomainError`` (a
+    ``ValueError``) naming the inputs at fault, as the config keys do."""
+    with pytest.raises(DomainError, match=message) as exc:
+        DomainSpec(len(shape), kind, shape, lengths)
+    assert exc.value.keys == keys
 
 
 def test_combinability_requires_identical_domain():
@@ -79,12 +103,13 @@ def test_dirichlet_sine_eigenrelation():
     DomainSpec.periodic_torus([3, 2], 6),
 ])
 def test_summation_by_parts(domain):
-    """<-lap f, f>_h equals the forward-difference energy to 1e-13 relative."""
+    """<-lap f, f>_h equals the forward-difference energy of the moments to
+    1e-13 relative."""
     rng = np.random.default_rng(1)
     for _ in range(5):
         f = GridFunction(domain, rng.standard_normal(domain.shape))
         lhs = l2_inner(laplacian_apply(f), f)
-        rhs = h_norm_sq(f, 0.0)
+        rhs = _gradient_energy(f.values, domain)
         assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
 
 
