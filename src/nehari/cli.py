@@ -32,8 +32,8 @@ from .grid import DomainError, DomainSpec, GridFunction, _format_record, \
     grid_function_to_csv, save_grid_function
 from .model import Nonlinearity, ProblemSpec, ValidationError, validate_problem
 from .energy import State, _ray_data, _state_values, energy, fibering_project
-from .solver import SolveConfig, SolverStallError, decay_fit, find_ground_state, \
-    initial_states, recenter
+from .solver import SolveConfig, SolverStallError, _recenter_radius, decay_fit, \
+    find_ground_state, initial_states, recenter
 from .multiplicity import find_distinct_solutions, fountain_diagnostics
 from .expressions import eval_expr, expr_to_text, parse_expr
 
@@ -250,7 +250,15 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def build_domain(cfg: RunConfig) -> DomainSpec:
-    return DomainSpec(len(cfg.lengths), cfg.kind, cfg.resolution, cfg.lengths)
+    """The config's domain; for ``decay`` also checked, before any solve, to
+    hold the recentering ball within half of every torus period."""
+    domain = DomainSpec(len(cfg.lengths), cfg.kind, cfg.resolution, cfg.lengths)
+    if cfg.command == "decay" and domain.periodic:
+        r, period = _recenter_radius(domain), min(domain.lengths)
+        if r > period / 2:
+            raise DomainError(f"recentering radius {r:.6g} exceeds half the torus "
+                              f"period {period:g}", "lengths")
+    return domain
 
 
 def _sample_expression(domain: DomainSpec, text: str, name: str,

@@ -104,7 +104,11 @@ class DomainSpec:
 
     @staticmethod
     def periodic_torus(periods, points_per_cell) -> "DomainSpec":
-        periods = tuple(int(p) for p in np.atleast_1d(periods))
+        periods = tuple(float(p) for p in np.atleast_1d(periods))
+        for p in periods:   # before int(p) rounds a fraction or fails on inf and nan
+            if not (0 < p < np.inf and p == int(p)):
+                raise DomainError(f"torus period {p:g} must be a positive integer", "lengths")
+        periods = tuple(int(p) for p in periods)
         ppc = np.atleast_1d(points_per_cell).astype(int)
         if ppc.size == 1:
             ppc = np.repeat(ppc, len(periods))

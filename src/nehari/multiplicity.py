@@ -151,67 +151,70 @@ def _growth_constant(spec: ProblemSpec) -> float:
 
 
 _ASCENT_STEPS = 200          # accepted steps after which an ascent row stops
+_ASCENT_GTOL = 1e-7          # tangent-gradient norm, relative to the value, that ends a row
 _RAY_DIRS = 20               # random directions per level of the rho_k radius scan
 
 
-def _pnorm_and_grad(X, Bu, Bv, p, vol):
+def _pnorm_and_grad(X, B, p, vol):
     """Row-wise ``|u|_p + |v|_p`` of basis coordinates, and its gradient.
 
-    Returns the values of the rows of ``X`` and a function that forms the
-    gradients of the selected rows from the same products, so a row whose
-    gradient is never asked for costs one product per block and no more.
+    Each line of ``B`` is one basis pair raveled as ``(u, v)``, so the one
+    product ``X @ B`` gives both blocks of every row.  Returns the values of
+    the rows of ``X`` and a function that forms the gradients of the selected
+    rows from that product with one more, ``C @ B.T``; a row whose gradient
+    is never asked for costs the one product and no more.
     """
-    total = np.zeros(len(X))
-    blocks = []
-    for B in (Bu, Bv):
-        W = X @ B
-        A = np.abs(W)
-        P = A ** (p - 1.0)
-        mp = np.sum(P * A, axis=1) * vol
-        norm = mp ** (1.0 / p)
-        total += norm
-        coef = np.divide(norm, mp, out=np.zeros_like(mp), where=mp > 0.0)
-        blocks.append((B, W, P, coef))
+    W = (X @ B).reshape(len(X), 2, -1)
+    A = np.abs(W)
+    P = A ** (p - 1.0)
+    mp = np.sum(P * A, axis=2) * vol
+    norm = mp ** (1.0 / p)
+    coef = np.divide(norm, mp, out=np.zeros_like(mp), where=mp > 0.0) * vol
 
     def grad(rows):
-        G = np.zeros((len(rows), X.shape[1]))
-        for B, W, P, coef in blocks:
-            G += coef[rows, None] * (np.copysign(P[rows], W[rows]) @ B.T) * vol
-        return G
+        C = coef[rows, :, None] * np.copysign(P[rows], W[rows])
+        return C.reshape(len(rows), B.shape[1]) @ B.T
 
-    return total, grad
+    return norm[:, 0] + norm[:, 1], grad
 
 
-def _sphere_ascent(X0, Bu, Bv, p, vol):
+def _sphere_ascent(X0, B, p, vol):
     """Projected gradient ascent of ``|u|_p + |v|_p`` on the unit sphere.
 
     Every row of ``X0`` is a start, and all rows climb together: each round
-    tries one step for every active row with one product per block.  A row
-    accepts a trial that raises its value, then stops on convergence or
-    after ``_ASCENT_STEPS`` accepted steps, or else grows its step by 1.5;
-    a rejected trial halves the step, and the row stops once the step is
-    down to 1e-12.  Returns the final rows and their values.
+    tries one step for every active row with one product ``X @ B``.  A row
+    steps along its tangent gradient ``g - f(x) x`` (f is 1-homogeneous, so
+    ``g . x = f``) and is normalized back onto the sphere.  It accepts a
+    trial that raises its value and takes the Barzilai-Borwein quotient
+    ``s . s / s . (g_old - g_new)`` of the tangent gradients as its next
+    step, or 1.5 times the old step where that is not positive; a rejected
+    trial halves the step.  A row stops once its tangent gradient is at most
+    ``_ASCENT_GTOL`` times its value, after ``_ASCENT_STEPS`` accepted steps,
+    or once its step is down to 1e-12.  Returns the final rows and values.
     """
     X = X0 / np.linalg.norm(X0, axis=1, keepdims=True)
-    val, grad = _pnorm_and_grad(X, Bu, Bv, p, vol)
-    G = grad(np.arange(len(X)))
+    val, grad = _pnorm_and_grad(X, B, p, vol)
+    G = grad(np.arange(len(X))) - val[:, None] * X
     step = np.ones(len(X))
     accepted = np.zeros(len(X), dtype=int)
     active = np.arange(len(X))
     while active.size:
         Y = X[active] + step[active, None] * G[active]
         Y /= np.linalg.norm(Y, axis=1, keepdims=True)
-        val_y, grad = _pnorm_and_grad(Y, Bu, Bv, p, vol)
-        old = val[active]
-        up = val_y > old
-        converged = up & (val_y - old < 1e-12 * (1.0 + old))
-        X[active[up]] = Y[up]
-        val[active[up]] = val_y[up]
-        accepted[active[up]] += 1
-        climbing = up & ~converged & (accepted[active] < _ASCENT_STEPS)
-        G[active[climbing]] = grad(np.flatnonzero(climbing))
-        step[active] *= np.where(up, 1.5, 0.5)
-        active = active[climbing | (~up & (step[active] > 1e-12))]
+        val_y, grad = _pnorm_and_grad(Y, B, p, vol)
+        up = val_y > val[active]
+        rows, Y, val_y = active[up], Y[up], val_y[up]
+        G_y = grad(np.flatnonzero(up)) - val_y[:, None] * Y
+        S = Y - X[rows]
+        sy = np.sum(S * (G[rows] - G_y), axis=1)
+        step[rows] = np.divide(np.sum(S * S, axis=1), sy, out=1.5 * step[rows], where=sy > 0.0)
+        step[active[~up]] *= 0.5
+        X[rows], val[rows], G[rows] = Y, val_y, G_y
+        accepted[rows] += 1
+        keep = step[active] > 1e-12
+        keep[up] = ((np.linalg.norm(G_y, axis=1) > _ASCENT_GTOL * val_y)
+                    & (accepted[rows] < _ASCENT_STEPS))
+        active = active[keep]
     return X, val
 
 
@@ -241,8 +244,7 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
     volume_omega = float(np.prod(dom.lengths))
     rng = np.random.default_rng(seed)
 
-    all_u = np.stack([st.u.values.ravel() for _, st in basis])
-    all_v = np.stack([st.v.values.ravel() for _, st in basis])
+    B = np.stack([st.pair().ravel() for _, st in basis])
 
     # beta_k from the tail down, cascading each maximizer into the next level;
     # since the spans are nested, the previous estimate is itself a valid
@@ -251,12 +253,11 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
     carry = None
     prev = 0.0
     for k in range(k_max, 0, -1):
-        Bu, Bv = all_u[k - 1:], all_v[k - 1:]
         dim = K - (k - 1)
         starts = rng.standard_normal((restarts, dim))
         if carry is not None:
             starts = np.vstack([starts, np.concatenate([[0.0], carry])])
-        X, vals = _sphere_ascent(starts, Bu, Bv, p, vol)
+        X, vals = _sphere_ascent(starts, B[k - 1:], p, vol)
         best = int(np.argmax(vals))
         beta[k] = max(float(vals[best]), prev)
         prev = beta[k]
@@ -277,8 +278,8 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
     for k in range(1, k_max + 1):
         X = np.vstack([np.eye(k), rng.standard_normal((_RAY_DIRS, k))])
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        rays = _ray_data(spec, (X @ all_u[:k]).reshape((-1,) + dom.shape),
-                         (X @ all_v[:k]).reshape((-1,) + dom.shape))
+        S = (X @ B[:k]).reshape((-1, 2) + dom.shape)
+        rays = _ray_data(spec, S[:, 0], S[:, 1])
         rho = 1.0
         while True:
             amax = float(np.max(rays.phi(rho)))

@@ -24,7 +24,7 @@ import numpy as np
 # in the package import instead of the first solve
 from numpy.random import default_rng
 
-from .grid import _format_record, _pair_inner, local_mass_sup, shift
+from .grid import DomainSpec, _format_record, _pair_inner, local_mass_sup, shift
 from .model import ProblemSpec
 from .energy import (
     State,
@@ -479,6 +479,11 @@ def _ensure_nonnegative(spec, config, reports, final):
     return reports, final
 
 
+def _recenter_radius(dom: DomainSpec) -> float:
+    """Radius ``1 + sqrt(N)`` of the balls whose local mass ``recenter`` compares."""
+    return 1.0 + float(np.sqrt(dom.dimension))
+
+
 def recenter(s: State) -> tuple[State, tuple[int, ...]]:
     """Translate a periodic state so its densest ball sits at the midpoint.
 
@@ -489,8 +494,7 @@ def recenter(s: State) -> tuple[State, tuple[int, ...]]:
     dom = s.domain
     if not dom.periodic:
         raise ValueError("recenter requires a periodic domain")
-    r = 1.0 + float(np.sqrt(dom.dimension))
-    _, center = local_mass_sup(s.u, s.v, r)
+    _, center = local_mass_sup(s.u, s.v, _recenter_radius(dom))
     ppc = dom.points_per_cell
     z = tuple(
         int(np.rint((n // 2 - c) / m)) for n, c, m in zip(dom.shape, center, ppc)

@@ -27,6 +27,7 @@ from nehari.cli import (
     emit_config,
     main,
     parse_config,
+    run,
 )
 from conftest import count_calls
 
@@ -661,6 +662,26 @@ def test_non_finite_lengths_are_config_errors(tmp_path, capsys, command, value):
     err = capsys.readouterr().err
     assert err == ("error: line 4: bad value for 'lengths' in section [problem]: "
                    "lengths must be positive and finite\n")
+
+
+def test_decay_radius_is_checked_before_the_solve(tmp_path, capsys, monkeypatch):
+    """A torus whose period is less than twice the recentering radius stops
+    ``decay`` before any descent runs: exit 2, one line naming the radius
+    and, from a config file, the ``lengths`` line."""
+    counts = {}
+    count_calls(monkeypatch, counts, "_descend")
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text("[problem]\nkind = periodic_torus\nlengths = 4, 4\n"
+                        "resolution = 32, 32\n")
+    assert main(["decay", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: bad value for 'lengths' in section [problem]: "
+        "recentering radius 2.41421 exceeds half the torus period 4\n")
+    cfg = replace(default_config("periodic_torus"), command="decay", lengths=(4.0, 4.0),
+                  resolution=(32, 32), out_dir=str(tmp_path))
+    assert run(cfg) == 2
+    assert "recentering radius 2.41421" in capsys.readouterr().err
+    assert counts.get("_descend", 0) == 0
 
 
 def test_fibering_reads_one_set_of_ray_moments(tmp_path, monkeypatch):

@@ -44,6 +44,10 @@ def test_domain_validation():
             DomainSpec(1, "dirichlet_box", (8,), (bad,))
         with pytest.raises(ValueError, match="positive and finite"):
             DomainSpec(2, "periodic_torus", (32, 32), (bad, 16.0))
+    # the torus constructor checks its periods before it makes them integers
+    for bad in (1.5, np.inf, np.nan):
+        with pytest.raises(DomainError, match=f"torus period {bad:g} must be a positive"):
+            DomainSpec.periodic_torus([bad], 8)
 
 
 @pytest.mark.parametrize("kind, shape, lengths, message, keys", [

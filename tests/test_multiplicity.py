@@ -184,80 +184,116 @@ def test_fountain_b_lower_trend(small_bounded_spec):
 
 @lru_cache(maxsize=None)
 def _default_box_tails():
-    """Coordinate rows of the 40-pair eigenbasis of the default 256-node box."""
+    """Basis lines of the 40-pair eigenbasis of the default 256-node box, each
+    pair raveled as one ``(u, v)`` line."""
     spec = make_spec(DomainSpec.dirichlet_box(1.0, 256))
-    basis = eigenbasis(spec, 40)
-    all_u = np.stack([s.u.values.ravel() for _, s in basis])
-    all_v = np.stack([s.v.values.ravel() for _, s in basis])
-    return all_u, all_v, spec.p_max, spec.domain.cell_volume
+    B = np.stack([s.pair().ravel() for _, s in eigenbasis(spec, 40)])
+    return B, spec.p_max, spec.domain.cell_volume
 
 
-def _reference_ascent(x0, Bu, Bv, p, vol):
-    """One start climbing alone, one trial and one gradient at a time."""
-    def value_and_grad(x):
-        total, grad = 0.0, np.zeros_like(x)
-        for B in (Bu, Bv):
-            w = x @ B
-            mp = float(np.sum(np.abs(w) ** p)) * vol
-            if mp > 0.0:
-                total += mp ** (1.0 / p)
-                grad += mp ** (1.0 / p - 1.0) * (B @ (np.abs(w) ** (p - 1.0) * np.sign(w))) * vol
-        return total, grad
+def _reference_value_and_grad(x, B, p, vol):
+    """``|u|_p + |v|_p`` at the coordinates ``x`` and its tangent gradient on
+    the sphere, block by block."""
+    n = B.shape[1] // 2
+    total, grad = 0.0, np.zeros_like(x)
+    for block in (B[:, :n], B[:, n:]):
+        w = x @ block
+        mp = float(np.sum(np.abs(w) ** p)) * vol
+        if mp > 0.0:
+            total += mp ** (1.0 / p)
+            grad += mp ** (1.0 / p - 1.0) * (block @ (np.abs(w) ** (p - 1.0) * np.sign(w))) * vol
+    return total, grad - total * x
 
+
+def _reference_ascent(x0, B, p, vol):
+    """One start climbing alone, one trial and one gradient at a time.
+
+    Returns the final value and whether the row stopped by the stationarity
+    test rather than by the step floor or the step cap.
+    """
     x = x0 / np.linalg.norm(x0)
-    val, g = value_and_grad(x)
+    val, g = _reference_value_and_grad(x, B, p, vol)
     step = 1.0
     for _ in range(200):
         while step > 1e-12:
             y = x + step * g
             y /= np.linalg.norm(y)
-            val_y, g_y = value_and_grad(y)
+            val_y, g_y = _reference_value_and_grad(y, B, p, vol)
             if val_y > val:
                 break
             step *= 0.5
         else:
-            break
-        converged = val_y - val < 1e-12 * (1.0 + val)
+            return val, False
+        s = y - x
+        sy = s @ (g - g_y)
+        step = (s @ s) / sy if sy > 0.0 else 1.5 * step
         x, val, g = y, val_y, g_y
-        if converged:
-            break
-        step *= 1.5
-    return val
+        if np.linalg.norm(g) <= 1e-7 * val:
+            return val, True
+    return val, False
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 30), rows=st.integers(1, 6))
 def test_batched_ascent_rows_match_single_starts(seed, k, rows):
     """Each row of a batched ascent climbs as that start does on its own."""
-    all_u, all_v, p, vol = _default_box_tails()
-    Bu, Bv = all_u[k - 1:], all_v[k - 1:]
-    X0 = np.random.default_rng(seed).standard_normal((rows, len(Bu)))
-    X, vals = _sphere_ascent(X0, Bu, Bv, p, vol)
+    B, p, vol = _default_box_tails()
+    B = B[k - 1:]
+    X0 = np.random.default_rng(seed).standard_normal((rows, len(B)))
+    X, vals = _sphere_ascent(X0, B, p, vol)
     assert X.shape == X0.shape
     assert np.allclose(np.linalg.norm(X, axis=1), 1.0, rtol=0.0, atol=1e-14)
     for i in range(rows):
-        _, alone = _sphere_ascent(X0[i:i + 1], Bu, Bv, p, vol)
+        _, alone = _sphere_ascent(X0[i:i + 1], B, p, vol)
         assert abs(vals[i] - alone[0]) <= 1e-12 * abs(alone[0])
-        reference = _reference_ascent(X0[i], Bu, Bv, p, vol)
+        reference, _ = _reference_ascent(X0[i], B, p, vol)
         assert abs(vals[i] - reference) <= 1e-12 * reference
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 30), rows=st.integers(1, 6),
+       one_block=st.booleans())
+def test_ascent_rows_climb_to_stationary_points(seed, k, rows, one_block):
+    """Returned rows are unit vectors, no row ends below its start, and a row
+    that stops by convergence is stationary on the sphere: its tangent
+    gradient, recomputed block by block, is at most 1e-7 of its value (up to
+    the roundoff of the recomputation, 1e-6 of that bound)."""
+    B, p, vol = _default_box_tails()
+    B = B[k - 1:]
+    X0 = np.random.default_rng(seed).standard_normal((rows, len(B)))
+    if one_block:
+        # starts in the span of the u-block pairs: the v-block term stays 0
+        X0 *= np.any(B.reshape(len(B), 2, -1)[:, 0] != 0.0, axis=1)
+        X0 = X0[np.any(X0 != 0.0, axis=1)]
+    if not len(X0):
+        return
+    X, vals = _sphere_ascent(X0, B, p, vol)
+    assert np.allclose(np.linalg.norm(X, axis=1), 1.0, rtol=0.0, atol=1e-14)
+    start, _ = _pnorm_and_grad(X0 / np.linalg.norm(X0, axis=1, keepdims=True), B, p, vol)
+    assert np.all(vals >= start)
+    for x, x0 in zip(X, X0):
+        _, converged = _reference_ascent(x0, B, p, vol)
+        if converged:
+            f, g = _reference_value_and_grad(x, B, p, vol)
+            assert np.linalg.norm(g) <= 1e-7 * f * (1.0 + 1e-6)
+
+
 def test_pnorm_gradient_rows_match_central_differences():
-    all_u, all_v, p, vol = _default_box_tails()
-    Bu, Bv = all_u[4:], all_v[4:]
+    B, p, vol = _default_box_tails()
+    B = B[4:]
     rng = np.random.default_rng(21)
-    X = rng.standard_normal((3, len(Bu)))
+    X = rng.standard_normal((3, len(B)))
     # a row that lives in the u-block alone: the v-block term vanishes there
-    X[2] = np.where(np.any(Bu != 0.0, axis=1), X[2], 0.0)
-    _, grad = _pnorm_and_grad(X, Bu, Bv, p, vol)
+    X[2] = np.where(np.any(B.reshape(len(B), 2, -1)[:, 0] != 0.0, axis=1), X[2], 0.0)
+    _, grad = _pnorm_and_grad(X, B, p, vol)
     G = grad(np.arange(len(X)))
     assert np.all(np.isfinite(G))
     h = 1e-6
     for j in range(X.shape[1]):
         e = np.zeros(X.shape[1])
         e[j] = h
-        plus, _ = _pnorm_and_grad(X + e, Bu, Bv, p, vol)
-        minus, _ = _pnorm_and_grad(X - e, Bu, Bv, p, vol)
+        plus, _ = _pnorm_and_grad(X + e, B, p, vol)
+        minus, _ = _pnorm_and_grad(X - e, B, p, vol)
         assert np.allclose((plus - minus) / (2.0 * h), G[:, j], rtol=0.0,
                            atol=1e-7 * np.max(np.abs(G)))
     # the gradient of a subset of rows is those rows of the full gradient
