@@ -474,6 +474,18 @@ def test_decay_deterministic_artifacts(tmp_path):
     assert np.all(np.diff(rows[:, 0]) >= 0.0)
 
 
+def test_decay_on_the_96_node_default_torus(tmp_path):
+    """The default torus at m = 6 nodes per cell, whose direct descent ran
+    every start to max_iters (exit 3), solves after one coarse level."""
+    cfg_file = tmp_path / "d.cfg"
+    cfg_file.write_text("[problem]\nkind = periodic_torus\nlengths = 16, 16\n"
+                        "resolution = 96, 96\n\n[solve]\nstarts = 3\n")
+    assert main(["decay", "--config", str(cfg_file), "--out", str(tmp_path),
+                 "--label", "d"]) == 0
+    status = (tmp_path / "d_report.txt").read_text().splitlines()[0]
+    assert status.split() == ["status", "=", "converged"]
+
+
 def test_stall_exit_code(tmp_path):
     cfg_file = tmp_path / "stall.cfg"
     cfg_file.write_text("""

@@ -172,22 +172,163 @@ def test_default_box_iterate_budget(monkeypatch, bounded_spec):
     25 iterates (unit first steps take 32-36)."""
     calls = record_descents(monkeypatch)
     find_ground_state(bounded_spec, SolveConfig())
-    rows, reports, _ = calls[0]
+    [(rows, reports, _)] = calls   # a box descends once, on its own grid
     assert rows == 5
     assert all(r.status == "converged" and r.iterations <= 25 for r in reports)
 
 
 def test_periodic_cosine_ground_state_converges(monkeypatch):
     """On a torus with a nonconstant periodic potential, every start
-    converges within 150 iterates (unit first steps stall at 500)."""
+    converges on the fine grid within 100 iterates (unit first steps stall
+    at 500; the direct descent takes 56-118, after the ladder 38-57)."""
     well = lambda x: 1.0 + 0.25 * np.cos(2.0 * np.pi * x)
     spec = make_spec(DomainSpec.periodic_torus([8], 16), V1=well, V2=well, lam=0.3)
     calls = record_descents(monkeypatch)
     rep, _ = find_ground_state(spec, SolveConfig(starts=3))
-    [(rows, reports, _)] = calls
-    assert rows == 3
-    assert all(r.status == "converged" and r.iterations <= 150 for r in reports)
+    rows, reports, final = calls[-1]   # the fine level descends last
+    assert rows == 3 and final.shape[2:] == spec.domain.shape
+    assert all(r.status == "converged" and r.iterations <= 100 for r in reports)
     assert rep.grad_residual <= 1e-8
+
+
+def cosine_torus(periods, m):
+    """The 2D torus with ``V1 = V2 = 1 + 0.5 cos 2 pi x cos 2 pi y``."""
+    well = lambda x, y: 1.0 + 0.5 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+    return make_spec(DomainSpec.periodic_torus([periods, periods], m), V1=well, V2=well)
+
+
+@pytest.mark.parametrize("spec, levels", [
+    (make_spec(DomainSpec.periodic_torus([16, 16], 16)), 3),   # 256^2 down to m = 2
+    (make_spec(DomainSpec.periodic_torus([16, 16], 6)), 1),    # 96^2: m = 3 is odd
+    (make_spec(DomainSpec.periodic_torus([16, 16], 5)), 0),    # 80^2: odd m
+    (make_spec(DomainSpec.periodic_torus([16, 8], [4, 6])), 1),   # every axis halves
+    (make_spec(DomainSpec.periodic_torus([16, 8], [4, 5])), 0),   # or none does
+    (cosine_torus(8, 8), 1),    # m = 2 samples the cosine at its Nyquist mode
+    (cosine_torus(8, 16), 2),
+    (make_spec(DomainSpec.periodic_torus([8], 16),   # lambda's wavenumber 24 aliases at 32 nodes
+               lam=lambda x: 0.3 + 0.1 * np.cos(6.0 * np.pi * x)), 1),
+    (make_spec(DomainSpec.dirichlet_box(1.0, 256)), 0),
+])
+def test_ladder_levels(spec, levels):
+    """Halving stops at odd m, at m = 2, and where the halved grid would
+    alias V1, V2 or lambda."""
+    assert solver_module._ladder_levels(spec) == levels
+
+
+@pytest.mark.parametrize("spec, budget", [
+    (make_spec(DomainSpec.periodic_torus([16, 16], 4)), 100),   # direct: 500/337/458
+    (make_spec(DomainSpec.periodic_torus([16, 16], 6)), 100),   # direct: 500/500/500, exit 3
+    (cosine_torus(8, 8), 150),   # direct: 203/112/136; a ladder down to m = 2: 27/30/500
+])
+def test_ladder_fine_descents_converge(monkeypatch, spec, budget):
+    """After the ladder every fine row of these tori converges within the
+    budget, and the report counts the fine iterates of its row."""
+    calls = record_descents(monkeypatch)
+    rep, _ = find_ground_state(spec, SolveConfig(starts=3))
+    rows, reports, final = calls[-1]
+    assert rows == 3 and final.shape[2:] == spec.domain.shape
+    assert all(r.status == "converged" and r.iterations <= budget for r in reports)
+    assert rep.grad_residual <= 1e-8 and rep.iterations == reports[rep.start_index].iterations
+
+
+def test_unconverged_coarse_rows_are_still_prolonged(monkeypatch, periodic_spec_2d):
+    """Coarse descents cut short at 2 iterates end unconverged; their rows
+    still pass to the fine grid, whose descent converges."""
+    fine = periodic_spec_2d.domain
+    real = solver_module._descend
+    coarse_status = []
+
+    def cut_short(spec, config, init, *args, **kwargs):
+        if spec.domain != fine:
+            config = replace(config, max_iters=2)
+        reports, final = real(spec, config, init, *args, **kwargs)
+        if spec.domain != fine:
+            coarse_status.extend(r.status for r in reports)
+        return reports, final
+
+    monkeypatch.setattr(solver_module, "_descend", cut_short)
+    rep, _ = find_ground_state(periodic_spec_2d, SolveConfig(starts=3))
+    assert coarse_status == ["max_iters"] * 6   # 3 rows on each of 2 levels
+    assert rep.status == "converged"
+
+
+def _nyquist_free(c):
+    """The fields ``c`` (leading row axes, then the grid) without the
+    Nyquist modes of their even axes, by the full complex transform."""
+    axes = tuple(range(2, c.ndim))
+    F = np.fft.fftn(c, axes=axes)
+    for a in axes:
+        if c.shape[a] % 2 == 0:
+            index = [slice(None)] * c.ndim
+            index[a] = c.shape[a] // 2
+            F[tuple(index)] = 0.0
+    return np.fft.ifftn(F, axes=axes).real
+
+
+@st.composite
+def coarse_pairs(draw, count=1):
+    """Random pair arrays ``(rows, 2, *shape)`` of 1-3 rows on 1-3 axes of
+    2-9 nodes each, ``count`` of them on one shape."""
+    shape = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=3)))
+    rows = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [rng.standard_normal((rows, 2) + shape) for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=coarse_pairs(count=2), a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
+@example(pairs=[np.ones((1, 2, 2)), np.zeros((1, 2, 2))], a=0.0, b=5e-324)
+def test_prolongation_is_linear(pairs, a, b):
+    s, t = pairs
+    P = solver_module._prolong
+    scale = (abs(a) + abs(b)) * max(np.abs(s).max(), np.abs(t).max())
+    # the floor: scaled subnormals keep no relative precision
+    assert np.abs(P(a * s + b * t) - (a * P(s) + b * P(t))).max() <= 1e-13 * scale + 1e-300
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=coarse_pairs())
+def test_prolongation_interpolates_and_keeps_the_mean(pairs):
+    """The prolonged rows, taken at every other node, are the coarse rows
+    minus their Nyquist modes; the mean of every field is kept."""
+    [c] = pairs
+    fine = solver_module._prolong(c)
+    assert fine.shape == c.shape[:2] + tuple(2 * n for n in c.shape[2:])
+    nodes = (slice(None),) * 2 + (slice(None, None, 2),) * (c.ndim - 2)
+    scale = np.abs(c).max()
+    assert np.abs(fine[nodes] - _nyquist_free(c)).max() <= 1e-13 * scale
+    axes = tuple(range(2, c.ndim))
+    assert np.abs(fine.mean(axis=axes) - c.mean(axis=axes)).max() <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=coarse_pairs(), data=st.data())
+def test_prolongation_commutes_with_node_shifts(pairs, data):
+    """Shifting the coarse rows by one node shifts the prolonged rows by two."""
+    [c] = pairs
+    axis = data.draw(st.integers(2, c.ndim - 1))
+    P = solver_module._prolong
+    shifted = P(np.roll(c, 1, axis=axis))
+    assert np.abs(shifted - np.roll(P(c), 2, axis=axis)).max() <= 1e-13 * np.abs(c).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(1, 2), m=st.sampled_from([4, 8]), periods=st.integers(1, 3),
+       k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_coarse_spec_takes_the_fine_fields_at_its_nodes(dim, m, periods, k, seed):
+    dom = DomainSpec.periodic_torus([periods] * dim, m)
+    rng = np.random.default_rng(seed)
+    cell = lambda: np.tile(1.0 + rng.random((m,) * dim), (periods,) * dim)
+    spec = make_spec(dom)
+    spec = replace(spec, V1=GridFunction(dom, cell()), V2=GridFunction(dom, cell()),
+                   lam=GridFunction(dom, 0.1 * cell()))
+    k = min(k, m.bit_length() - 2)   # keep m / 2**k >= 2
+    coarse = solver_module._coarse_spec(spec, k)
+    assert coarse.domain == DomainSpec.periodic_torus([periods] * dim, m >> k)
+    nodes = (slice(None, None, 2 ** k),) * dim
+    for name in ("V1", "V2", "lam"):
+        assert getattr(coarse, name).values.tobytes() == getattr(spec, name).values[nodes].tobytes()
+    assert (coarse.q, coarse.f1, coarse.f2, coarse.delta) == (spec.q, spec.f1, spec.f2, spec.delta)
 
 
 @settings(max_examples=12, deadline=None)
