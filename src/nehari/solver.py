@@ -11,10 +11,11 @@ pair array ``(rows, 2, *shape)``, each row on its own steps; states are
 built only for what a search returns.
 
 On tori the ground-state search is a nested iteration: the starts descend
-first on grids halved per axis (coarse nodes are fine nodes, and halving
-stops at odd or minimal nodes per cell or where the halved grid would alias
-a potential), each level's rows are Fourier-interpolated onto the next, and
-one descent on the problem's own grid finishes them.
+first on grids halved per axis, each level's rows are Fourier-interpolated
+(``_prolong``) onto the next, and one descent on the problem's own grid
+finishes them.  Coarse nodes are fine nodes, and halving stops at odd or
+minimal nodes per cell or where ``_prolong`` of a potential's values at
+every other node does not give the potential back.
 
 Periodic helpers: recentering by integer translations (which leave the
 energy invariant), least-squares exponential decay fitting, and the
@@ -23,7 +24,6 @@ mutually inverse maps between the unit sphere and the manifold.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -128,8 +128,7 @@ class _Points:
     ``energy`` is ``J = phi(t*)`` from the projection, ``value`` the
     objective's value, ``extra`` the objective's own per-row data (the
     deflation realizers) and ``scale`` the factor ``t*`` that projected each
-    row (``None`` for points not made by a projection), all indexed by row
-    like ``S`` and ``moments``.
+    row, all indexed by row like ``S`` and ``moments``.
     """
 
     S: np.ndarray
@@ -137,12 +136,12 @@ class _Points:
     energy: np.ndarray
     value: np.ndarray
     extra: dict
-    scale: np.ndarray | None = None
+    scale: np.ndarray
 
     def take(self, rows) -> "_Points":
         return _Points(self.S[rows], self.moments.take(rows), self.energy[rows],
                        self.value[rows], {k: a[rows] for k, a in self.extra.items()},
-                       None if self.scale is None else self.scale[rows])
+                       self.scale[rows])
 
     def put(self, rows, new: "_Points") -> None:
         """Overwrite ``rows`` with the points of ``new``, in order."""
@@ -433,110 +432,85 @@ def minimize_on_nehari(spec: ProblemSpec, config: SolveConfig, init: State,
 
 # Nested iteration on tori: the residual the coarse levels descend to (or
 # the configured one, if larger), and the fraction of a field's largest
-# Fourier coefficient below which a coefficient counts as roundoff
+# value within which a halved grid must reproduce it
 _COARSE_TOL = 1e-4
 _RESOLVE_RTOL = 1e-12
-
-
-def _bandwidth(f: GridFunction) -> np.ndarray:
-    """The largest wavenumber ``|k|`` per axis among the nonzero Fourier
-    modes of a periodic field; zeros for a bitwise constant field."""
-    a = f.values
-    if (a == a.flat[0]).all():
-        return np.zeros(a.ndim, dtype=int)
-    F = np.abs(np.fft.rfftn(a))
-    live = F > _RESOLVE_RTOL * F.max()
-    band = []
-    for axis, n in enumerate(a.shape):
-        k = np.flatnonzero(live.any(axis=tuple(b for b in range(a.ndim) if b != axis)))
-        if axis < a.ndim - 1:   # rfftn keeps both signs on all but the last axis
-            k = np.minimum(k, n - k)
-        band.append(k.max())
-    return np.array(band)
-
-
-def _ladder_levels(spec: ProblemSpec) -> int:
-    """How many times nested iteration halves the grid: 0 on boxes.
-
-    Every axis halves while each axis's nodes per cell ``m`` are even and
-    the halved ``m`` is at least 2, so that coarse nodes are fine nodes (any
-    other ratio can land a bump between fine nodes, on a lattice saddle),
-    and while the halved grid still resolves ``V1``, ``V2`` and ``lam``: each
-    is bitwise constant or has no Fourier mode at or above the halved grid's
-    Nyquist wavenumber.
-    """
-    dom = spec.domain
-    if not dom.periodic:
-        return 0
-    m, n = np.array(dom.points_per_cell), np.array(dom.shape)
-    band = np.max([_bandwidth(f) for f in (spec.V1, spec.V2, spec.lam)], axis=0)
-    levels = 0
-    while (m % 2 == 0).all() and (m >= 4).all() and (2 * band < n // 2).all():
-        m, n, levels = m // 2, n // 2, levels + 1
-    return levels
-
-
-def _coarse_spec(spec: ProblemSpec, k: int) -> ProblemSpec:
-    """The torus problem on every ``2**k``-th node: the fine fields taken at
-    those nodes, nothing re-sampled."""
-    dom = spec.domain
-    nodes = (slice(None, None, 2 ** k),) * dom.dimension
-    coarse = DomainSpec(dom.dimension, dom.kind, tuple(n >> k for n in dom.shape), dom.lengths)
-    return replace(spec, domain=coarse,
-                   **{name: GridFunction(coarse, getattr(spec, name).values[nodes])
-                      for name in ("V1", "V2", "lam")})
+_FIELDS = ("V1", "V2", "lam")
 
 
 def _prolong(S: np.ndarray) -> np.ndarray:
-    """Fourier interpolation of the rows of a torus pair array onto the grid
-    with twice the nodes per axis.
+    """Fourier interpolation of a torus pair array ``(rows, 2, *shape)``
+    onto the grid with twice the nodes per axis.
 
-    Each component keeps its modes with ``|k| < n/2`` on every axis: the
-    Nyquist mode of an even axis has no shift-equivariant interpolant, so it
-    is dropped.  Interpolation is linear, keeps the mean and commutes with
-    node shifts (one coarse node is two fine ones).  One component goes
-    through ``rfftn``/``irfftn`` at a time, which bounds the transform
-    arrays to one field.
+    Each axis in turn keeps its modes with ``|k| < n/2`` (the Nyquist mode of
+    an even axis has no shift-equivariant interpolant, so it is dropped) and
+    is zero-padded to ``2n`` nodes by real transforms.  Interpolation is
+    linear, keeps the mean and commutes with node shifts (one coarse node is
+    two fine ones).  One row goes through the transforms at a time, which
+    bounds their arrays to one row (whole-array transforms raised the peak
+    RSS of a default torus ``decay`` by 1.3 MB).
     """
-    coarse = S.shape[2:]
-    fine = tuple(2 * n for n in coarse)
-    per_axis = []   # (coarse, fine) index blocks of the kept modes, per axis
-    for a, n in enumerate(coarse):
-        h = (n - 1) // 2   # the largest kept |k|
-        blocks = [(slice(0, h + 1),) * 2]
-        if a < len(coarse) - 1 and h:   # negative wavenumbers; rfftn's last axis has none
-            blocks.append((slice(n - h, n), slice(2 * n - h, 2 * n)))
-        per_axis.append(blocks)
-    blocks = [tuple(zip(*combo)) for combo in itertools.product(*per_axis)]
-    axes = tuple(range(len(fine)))
-    spectrum = np.zeros(fine[:-1] + (fine[-1] // 2 + 1,), dtype=complex)
-    out = np.empty(S.shape[:2] + fine)
-    for row in range(len(S)):
-        for c in range(2):
+    out = np.empty(S.shape[:2] + tuple(2 * n for n in S.shape[2:]))
+    for row, s in enumerate(S):
+        for axis in range(1, s.ndim):
+            n = s.shape[axis]
+            kept = (slice(None),) * axis + (slice((n + 1) // 2),)
             # "forward" norm: the coefficients are the mode amplitudes on either grid
-            F = np.fft.rfftn(S[row, c], axes=axes, norm="forward")
-            for src, dst in blocks:
-                spectrum[dst] = F[src]
-            np.fft.irfftn(spectrum, s=fine, axes=axes, norm="forward", out=out[row, c])
+            F = np.fft.rfft(s, axis=axis, norm="forward")[kept]
+            s = np.fft.irfft(F, n=2 * n, axis=axis, norm="forward")
+        out[row] = s
     return out
 
 
-def _ladder_starts(spec: ProblemSpec, config: SolveConfig, levels: int) -> np.ndarray:
-    """The starts, descended on ``levels`` halved grids of a torus, coarsest
+def _halved(spec: ProblemSpec) -> ProblemSpec:
+    """The torus problem on every other node: the fine fields taken at
+    those nodes, nothing re-sampled."""
+    dom = spec.domain
+    nodes = (slice(None, None, 2),) * dom.dimension
+    coarse = DomainSpec(dom.dimension, dom.kind, tuple(n // 2 for n in dom.shape), dom.lengths)
+    return replace(spec, domain=coarse,
+                   **{name: GridFunction(coarse, getattr(spec, name).values[nodes])
+                      for name in _FIELDS})
+
+
+def _coarse_levels(spec: ProblemSpec) -> list[ProblemSpec]:
+    """The coarse problems of nested iteration, finest first: none on boxes.
+
+    Every axis halves (``_halved``) while each axis's nodes per cell ``m``
+    are even and the halved ``m`` is at least 2, so that coarse nodes are
+    fine nodes (any other ratio can land a bump between fine nodes, on a
+    lattice saddle), and while ``_prolong`` of the halved ``V1``, ``V2`` and
+    ``lam`` gives back each field to ``_RESOLVE_RTOL`` of its largest value.
+    """
+    levels = []
+    while spec.domain.periodic and all(m % 2 == 0 and m >= 4 for m in spec.domain.points_per_cell):
+        coarse = _halved(spec)
+        for name in _FIELDS:
+            f = getattr(spec, name).values
+            back = _prolong(getattr(coarse, name).values[None, None])[0, 0]
+            if np.abs(back - f).max() > _RESOLVE_RTOL * np.abs(f).max():
+                return levels
+        levels.append(coarse)
+        spec = coarse
+    return levels
+
+
+def _ladder_starts(spec: ProblemSpec, config: SolveConfig) -> np.ndarray:
+    """The starts, descended on the ``_coarse_levels`` of a torus, coarsest
     first, and prolonged to the problem's grid; with no levels, the
     ``initial_states`` themselves.
 
-    The starts are ``initial_states`` on the problem's grid taken at every
-    ``2**levels``-th node.  Each level descends to ``_COARSE_TOL`` (or the
+    The starts are ``initial_states`` on the problem's grid taken at the
+    coarsest level's nodes.  Each level descends to ``_COARSE_TOL`` (or the
     configured ``grad_tol``, if larger); its rows are prolonged whether
     they converged or not.
     """
-    nodes = (slice(None),) * 2 + (slice(None, None, 2 ** levels),) * spec.domain.dimension
+    levels = _coarse_levels(spec)
+    nodes = (slice(None),) * 2 + (slice(None, None, 2 ** len(levels)),) * spec.domain.dimension
     # with levels, a copy of the coarse nodes: the fine starts are freed here
     S = np.ascontiguousarray(initial_states(spec, config)[nodes])
     coarse_config = replace(config, grad_tol=max(config.grad_tol, _COARSE_TOL))
-    for k in range(levels, 0, -1):
-        level = _coarse_spec(spec, k)
+    for level in reversed(levels):
         _, S = _descend(level, coarse_config, S, _EnergyObjective(level), list(range(len(S))))
         S = _prolong(S)
     return S
@@ -550,14 +524,14 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
     before projection, biasing toward the nonnegative ground state, and the
     returned components are nonnegative up to 1e-10 of the peak amplitude.
     On tori the starts first descend on a ladder of halved grids
-    (``_ladder_levels``, possibly none), coarsest first, and the fine
+    (``_coarse_levels``, possibly none), coarsest first, and the fine
     descent starts from the prolonged rows (nested iteration); the reports
     count fine-grid iterates only.  Deterministic for a fixed seed:
     converged energies within the Armijo slack of the lowest tie, and a tie
     goes to the lowest start index.
     """
     bounded = not spec.domain.periodic
-    starts = _ladder_starts(spec, config, _ladder_levels(spec))
+    starts = _ladder_starts(spec, config)
     if bounded:
         starts = np.abs(starts)
     reports, final = _descend(spec, config, starts, _EnergyObjective(spec),

@@ -696,6 +696,20 @@ def test_decay_radius_is_checked_before_the_solve(tmp_path, capsys, monkeypatch)
     assert counts.get("_descend", 0) == 0
 
 
+@pytest.mark.parametrize("command", ["ground", "multiplicity", "fountain", "fibering"])
+def test_failed_validation_stops_the_command(tmp_path, capsys, monkeypatch, command):
+    """A config that fails hypothesis validation stops the command before
+    any descent runs: exit 2, one line naming the failed check."""
+    counts = {}
+    count_calls(monkeypatch, counts, "_descend")
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text("[problem]\nresolution = 64\nf1 = 1.0:2.5\n")
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: hypothesis validation failed: f1: exponents above q (F4)\n")
+    assert counts.get("_descend", 0) == 0
+
+
 def test_fibering_reads_one_set_of_ray_moments(tmp_path, monkeypatch):
     """One moment pass projects the state and one serves all 200 samples."""
     counts = {}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nehari import multiplicity as multiplicity_module
 from nehari.grid import DomainSpec, _roll_cells, _schrodinger_values, shift
 from nehari.energy import State, _precondition, _ray_data, e_inner, norm_E
 from nehari.solver import (
@@ -102,6 +103,8 @@ def test_eigenbasis_guards(small_bounded_spec):
     big = make_spec(DomainSpec.dirichlet_box((1.0, 1.0), (128, 128)))
     with pytest.raises(ValueError):
         eigenbasis(big, 4)
+    with pytest.raises(ValueError, match="buffer"):   # fewer pairs than k_max
+        fountain_diagnostics(small_bounded_spec, 10, buffer=-3)
 
 
 def test_orbit_distance_quotients(periodic_spec_1d):
@@ -392,6 +395,24 @@ def test_collapse_budget_terminates(small_bounded_spec):
     assert len(sols) < 50   # budget exhausted without hanging
 
 
+def test_failed_deflated_search_counts_as_a_collapse(monkeypatch, small_bounded_spec):
+    """A deflated search that raises ``RuntimeError`` (no start converged, a
+    non-finite value) is one fruitless attempt: the budget of 2 ends the
+    search after 2 attempts, with only the ground state stored."""
+    attempts = []
+
+    def failing(spec, config, solutions):
+        attempts.append(config.seed)
+        raise RuntimeError("no start converged")
+
+    monkeypatch.setattr(multiplicity_module, "deflated_search", failing)
+    cfg = SolveConfig(seed=7, starts=2)
+    sols = find_distinct_solutions(small_bounded_spec, cfg, target_count=3, collapse_budget=2)
+    assert len(attempts) == 2 and len(set(attempts)) == 2
+    assert len(sols) == 1
+    assert sols.entries[0][1].energy == find_ground_state(small_bounded_spec, cfg)[0].energy
+
+
 def test_deflated_descent_realizes_each_orbit_once_per_point(monkeypatch,
                                                             small_bounded_spec):
     """Value, gradient and radial derivative of a point share its realizers:
@@ -417,11 +438,11 @@ def test_deflated_descent_realizes_each_orbit_once_per_point(monkeypatch,
 
 
 def _unprojected_points(objective, S):
-    """Points at the rows of ``S`` as they are: energy and moments of ``S``."""
+    """Points at the rows of ``S`` as they are (scale 1): energy and moments of ``S``."""
     rd = _ray_data(objective.spec, S[:, 0], S[:, 1])
     energy = rd.breakdown().total
     value, extra = objective.value(S, energy)
-    return _Points(S, rd, energy, value, extra)
+    return _Points(S, rd, energy, value, extra, np.ones(len(S)))
 
 
 @pytest.mark.parametrize("spec_name", ["small_bounded_spec", "periodic_spec_1d"])

@@ -208,11 +208,16 @@ def cosine_torus(periods, m):
     (make_spec(DomainSpec.periodic_torus([8], 16),   # lambda's wavenumber 24 aliases at 32 nodes
                lam=lambda x: 0.3 + 0.1 * np.cos(6.0 * np.pi * x)), 1),
     (make_spec(DomainSpec.dirichlet_box(1.0, 256)), 0),
+    (make_spec(DomainSpec.periodic_torus([2, 2, 2], 8)), 2),   # 3D, down to m = 2
+    (make_spec(DomainSpec.periodic_torus([8], 16),   # V2's wavenumber 16 is Nyquist at 32 nodes
+               V2=lambda x: 1.0 + 0.25 * np.cos(4.0 * np.pi * x)), 1),
+    (make_spec(DomainSpec.periodic_torus([4, 4], 8),   # V1 alone: Nyquist at m = 2
+               V1=lambda x, y: 1.0 + 0.25 * np.cos(2.0 * np.pi * x)), 1),
 ])
 def test_ladder_levels(spec, levels):
     """Halving stops at odd m, at m = 2, and where the halved grid would
     alias V1, V2 or lambda."""
-    assert solver_module._ladder_levels(spec) == levels
+    assert len(solver_module._coarse_levels(spec)) == levels
 
 
 @pytest.mark.parametrize("spec, budget", [
@@ -315,7 +320,7 @@ def test_prolongation_commutes_with_node_shifts(pairs, data):
 @settings(max_examples=20, deadline=None)
 @given(dim=st.integers(1, 2), m=st.sampled_from([4, 8]), periods=st.integers(1, 3),
        k=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1))
-def test_coarse_spec_takes_the_fine_fields_at_its_nodes(dim, m, periods, k, seed):
+def test_halved_takes_the_fine_fields_at_its_nodes(dim, m, periods, k, seed):
     dom = DomainSpec.periodic_torus([periods] * dim, m)
     rng = np.random.default_rng(seed)
     cell = lambda: np.tile(1.0 + rng.random((m,) * dim), (periods,) * dim)
@@ -323,7 +328,9 @@ def test_coarse_spec_takes_the_fine_fields_at_its_nodes(dim, m, periods, k, seed
     spec = replace(spec, V1=GridFunction(dom, cell()), V2=GridFunction(dom, cell()),
                    lam=GridFunction(dom, 0.1 * cell()))
     k = min(k, m.bit_length() - 2)   # keep m / 2**k >= 2
-    coarse = solver_module._coarse_spec(spec, k)
+    coarse = spec
+    for _ in range(k):
+        coarse = solver_module._halved(coarse)
     assert coarse.domain == DomainSpec.periodic_torus([periods] * dim, m >> k)
     nodes = (slice(None, None, 2 ** k),) * dim
     for name in ("V1", "V2", "lam"):
