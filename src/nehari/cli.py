@@ -15,7 +15,8 @@ Commands:
 * ``fibering``      -- samples of the ray map and its slope as CSV
 * ``decay``         -- periodic solve, recentering and decay fit
 
-Exit codes: 0 success, 2 validation failure, 3 solver stall, 4 numerical
+Exit codes: 0 success, 2 validation failure (also a bad config and an
+``OSError`` reading it or writing artifacts), 3 solver stall, 4 numerical
 failure (any other ``RuntimeError``, reported as one line on stderr).
 """
 
@@ -179,9 +180,10 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
     """Parse the sectioned key=value format into a RunConfig; an unknown
     section or key, a key repeated within a section, or a value its key
     cannot parse is an error, named by line and key; so is a ``lengths``
-    whose axes disagree with ``resolution``, on the later line of the two
-    (the one given, when the other is the default).  The retired key of
-    in-descent recentering parses only at its old default 0."""
+    whose axes disagree with ``resolution`` and a domain that
+    :func:`build_domain` rejects for ``command``, on the later line of the
+    keys at fault (the one given, when the other is the default).  The
+    retired key of in-descent recentering parses only at its old default 0."""
     sections: dict[str, dict[str, tuple[int, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -213,7 +215,7 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
             raise ConfigError(f"line {lineno}: bad value for {key!r} in section "
                               f"[{section}]: {exc}") from None
 
-    axis_lines = [sections.get("problem", {}).get(key, (0,))[0] for key in ("lengths", "resolution")]
+    problem_lines = {key: lineno for key, (lineno, _) in sections.get("problem", {}).items()}
     values = {attr: parsed(section, key, parse) for section, key, attr, parse, _ in _CONFIG_SCHEMA
               if key in sections.get(section, {})}
     cfg = replace(default_config(values.get("kind", "dirichlet_box")), command=command, **values)
@@ -225,9 +227,16 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
             key, (lineno, _) = next(iter(entries.items()))
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
     if len(cfg.lengths) != len(cfg.resolution):
-        raise ConfigError(f"line {max(axis_lines)}: 'lengths' and 'resolution' in section "
+        lineno = max(problem_lines.get(key, 0) for key in ("lengths", "resolution"))
+        raise ConfigError(f"line {lineno}: 'lengths' and 'resolution' in section "
                           "[problem] must have the same number of axes ('lengths' has "
                           f"{len(cfg.lengths)}, 'resolution' has {len(cfg.resolution)})")
+    try:
+        build_domain(cfg)
+    except DomainError as exc:
+        lineno, key = max((problem_lines.get(key, 0), key) for key in exc.keys)
+        raise ConfigError(f"line {lineno}: bad value for {key!r} in section [problem]: "
+                          f"{exc}") from None
     return cfg
 
 
@@ -433,7 +442,7 @@ def run(cfg: RunConfig) -> int:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         return _DISPATCH[cfg.command](cfg, spec, out)
-    except (ConfigError, ValidationError, ValueError) as exc:
+    except (ConfigError, ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverStallError as exc:
@@ -461,18 +470,10 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            text = Path(args.config).read_text()
-            cfg = parse_config(text, args.command)
-            build_domain(cfg)
+            cfg = parse_config(Path(args.config).read_text(), args.command)
         else:
             kind = "periodic_torus" if args.command == "decay" else "dirichlet_box"
             cfg = replace(default_config(kind), command=args.command)
-    except DomainError as exc:   # an error on the later line of the keys at fault
-        lines = {l.partition("=")[0].strip(): n for n, l in enumerate(text.splitlines(), 1)}
-        lineno, key = max((lines.get(key, 0), key) for key in exc.keys)
-        print(f"error: line {lineno}: bad value for {key!r} in section [problem]: {exc}",
-              file=sys.stderr)
-        return 2
     except (OSError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,8 +20,9 @@ plus a scalar safeguarded Newton iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from functools import cached_property, lru_cache
+import operator
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 from numpy.fft import irfftn, rfft, rfftn
@@ -113,7 +114,7 @@ class FiberingReport:
     bracket: tuple[float, float]
     iterations: int
     slope_residual: float
-    moments: _RayData | None = None   # ray moments of the projected state t* s
+    moments: _RayData   # ray moments of the projected state t* s
 
 
 @dataclass(frozen=True)
@@ -123,9 +124,14 @@ class _RayData:
     The last axis of ``m`` holds ``||s||^2``, ``int lam u v``,
     ``|u|_q^q + |v|^q_q`` and one ``a_j int |component|^{p_j}`` per
     nonlinearity term (u-terms first); its leading axes index the states.
-    A single state has none, and then every moment is a Python float, so
-    the scalar root finder runs on plain floats.  Every method acts
-    row-wise.
+    The columns are read once, on construction: for a single state ``m``
+    has no leading axis and every moment is a Python float, so the scalar
+    root finder runs on plain floats; for a batch they are views of ``m``.
+    Every method acts row-wise, and its powers ``_pow`` round as Python's
+    float power (the C library's ``pow``) does, so a row of a batch equals
+    the same row evaluated on Python floats: numpy's ``**`` on arrays takes
+    a SIMD power that can differ in the last bit, ``np.float_power`` does
+    not.
     """
 
     m: np.ndarray
@@ -133,46 +139,31 @@ class _RayData:
     inv_p: tuple[float, ...]     # 1 / p_j
     q: float
 
-    def _column(self, j: int):
-        col = self.m[..., j]
-        return col if col.ndim else float(col)
-
-    @cached_property
-    def norm_sq(self):
-        return self._column(0)
-
-    @cached_property
-    def cross(self):
-        return self._column(1)
-
-    @cached_property
-    def mq(self):
-        return self._column(2)
-
-    @cached_property
-    def coeffs(self) -> tuple:
-        return tuple(self._column(3 + j) for j in range(len(self.exps)))
-
-    @cached_property
-    def a2(self):
-        return self.norm_sq - 2.0 * self.cross
+    def __post_init__(self):
+        single = self.m.ndim == 1
+        cols = self.m.tolist() if single else [self.m[..., j] for j in range(self.m.shape[-1])]
+        # the record is frozen, so the columns go straight into its __dict__
+        self.__dict__.update(norm_sq=cols[0], cross=cols[1], mq=cols[2], coeffs=tuple(cols[3:]),
+                             a2=cols[0] - 2.0 * cols[1],
+                             _pow=operator.pow if single else np.float_power)
 
     def phi(self, t):
-        fsum = sum(c * ip * t ** p for c, p, ip in zip(self.coeffs, self.exps, self.inv_p))
-        return 0.5 * t * t * self.a2 - fsum + (t ** self.q) * self.mq / self.q
+        fsum = sum(c * ip * self._pow(t, p)
+                   for c, p, ip in zip(self.coeffs, self.exps, self.inv_p))
+        return 0.5 * t * t * self.a2 - fsum + self._pow(t, self.q) * self.mq / self.q
 
     def phi_prime(self, t):
-        fsum = sum(c * t ** (p - 1.0) for c, p in zip(self.coeffs, self.exps))
-        return t * self.a2 - fsum + t ** (self.q - 1.0) * self.mq
+        fsum = sum(c * self._pow(t, p - 1.0) for c, p in zip(self.coeffs, self.exps))
+        return t * self.a2 - fsum + self._pow(t, self.q - 1.0) * self.mq
 
     def phi_second(self, t):
-        fsum = sum(c * (p - 1.0) * t ** (p - 2.0) for c, p in zip(self.coeffs, self.exps))
-        return self.a2 - fsum + (self.q - 1.0) * t ** (self.q - 2.0) * self.mq
+        fsum = sum(c * (p - 1.0) * self._pow(t, p - 2.0) for c, p in zip(self.coeffs, self.exps))
+        return self.a2 - fsum + (self.q - 1.0) * self._pow(t, self.q - 2.0) * self.mq
 
     def psi(self, t):
         """phi'(t)/t, same positive roots, well-behaved near 0."""
-        fsum = sum(c * t ** (p - 2.0) for c, p in zip(self.coeffs, self.exps))
-        return self.a2 - fsum + t ** (self.q - 2.0) * self.mq
+        fsum = sum(c * self._pow(t, p - 2.0) for c, p in zip(self.coeffs, self.exps))
+        return self.a2 - fsum + self._pow(t, self.q - 2.0) * self.mq
 
     def xi(self):
         return self.a2 - sum(self.coeffs) + self.mq
@@ -181,14 +172,15 @@ class _RayData:
         return 2.0 * self.a2 - sum(c * p for c, p in zip(self.coeffs, self.exps)) \
             + self.q * self.mq
 
-    def scaled_row(self, t: float) -> list[float]:
-        """Moments of ``t s`` from those of a single state ``s``, as a row of ``m``."""
-        return [t * t * self.norm_sq, t * t * self.cross, t ** self.q * self.mq] \
-            + [c * t ** p for c, p in zip(self.coeffs, self.exps)]
+    def scaled(self, t) -> "_RayData":
+        """The moments of the states ``t s``, one factor ``t`` per state."""
+        cols = [t * t * self.norm_sq, t * t * self.cross, self._pow(t, self.q) * self.mq] \
+            + [c * self._pow(t, p) for c, p in zip(self.coeffs, self.exps)]
+        return _RayData(np.stack(cols, axis=-1), self.exps, self.inv_p, self.q)
 
     def take(self, rows) -> "_RayData":
         """The moments of the selected rows."""
-        return replace(self, m=self.m[rows])
+        return _RayData(self.m[rows], self.exps, self.inv_p, self.q)
 
     def breakdown(self) -> "EnergyBreakdown":
         quad = 0.5 * self.norm_sq
@@ -636,38 +628,30 @@ def fibering_project(spec: ProblemSpec, s):
     ``s`` is a state, or a pair array ``(rows, 2, *shape)``: then one moment
     pass serves every row, each row finds its ``t*`` by the same scalar
     steps as alone, the report holds one entry per row and the scaled rows
-    come back as a pair array.  (The root finder stays scalar: a Newton
-    vectorized over rows spends some 30 numpy calls per step on arrays of a
-    few entries, 15x the scalar cost for one row and still slower for eight.)
+    come back as a pair array.  Only the root is found row by row; the
+    fibering values, the bracket check, the slope residual and the scaled
+    moments are array evaluations over the rows.  (The root finder stays
+    scalar: a Newton vectorized over rows spends some 30 numpy calls per
+    step on arrays of a few entries, 15x the scalar cost for one row and
+    still slower for eight.)
     """
     single = isinstance(s, State)
     S = np.stack(_state_values(spec, s))[None] if single else s
     if not np.all(np.any(S.reshape(len(S), -1), axis=1)):
         raise ValueError("cannot project the zero state onto the manifold")
     rd = _ray_data(spec, S[:, 0], S[:, 1])
-    ts, phi_t, lo, hi, slope, scaled_m = [], [], [], [], [], []
-    iterations = 0
-    for k in range(len(S)):
-        ray = rd.take(k)
-        tk, bracket, its = _project_ray(ray)
-        phi_k = ray.phi(tk)
-        # roundoff slack: bracket ends coincide with t* when the input is on the manifold
-        slack = 1e-9 * (1.0 + abs(phi_k))
-        if not (phi_k >= ray.phi(bracket[0]) - slack and phi_k >= ray.phi(bracket[1]) - slack):
-            raise RuntimeError("fibering maximizer does not dominate its bracket")
-        ts.append(tk)
-        phi_t.append(phi_k)
-        lo.append(bracket[0])
-        hi.append(bracket[1])
-        iterations += its
-        slope.append(abs(ray.phi_prime(tk)))
-        scaled_m.append(ray.scaled_row(tk))
-    t = np.array(ts)
-    report = FiberingReport(t, np.array(phi_t), (np.array(lo), np.array(hi)), iterations,
-                            np.array(slope), replace(rd, m=np.array(scaled_m)))
+    ts, brackets, its = zip(*(_project_ray(rd.take(k)) for k in range(len(S))))
+    t, (lo, hi) = np.array(ts), np.array(brackets).T
+    phi_t, phi_lo, phi_hi = rd.phi(np.array((t, lo, hi)))
+    # roundoff slack: bracket ends coincide with t* when the input is on the manifold
+    slack = 1e-9 * (1.0 + np.abs(phi_t))
+    if not np.all((phi_t >= phi_lo - slack) & (phi_t >= phi_hi - slack)):
+        raise RuntimeError("fibering maximizer does not dominate its bracket")
+    report = FiberingReport(t, phi_t, (lo, hi), sum(its), np.abs(rd.phi_prime(t)),
+                            rd.scaled(t))
     scaled = t.reshape((-1,) + (1,) * (S.ndim - 1)) * S
     if not single:
         return report, scaled
-    return (FiberingReport(ts[0], phi_t[0], (lo[0], hi[0]), iterations, slope[0],
-                           report.moments.take(0)),
+    return (FiberingReport(ts[0], float(phi_t[0]), brackets[0], report.iterations,
+                           float(report.slope_residual[0]), report.moments.take(0)),
             State.from_pair(spec.domain, scaled[0]))

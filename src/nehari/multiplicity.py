@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _MAX_COMPONENT_UNKNOWNS = 10_000
+_DENSE_EIGH_NODES = 2500      # larger blocks take shift-invert Lanczos
 _DISTINCT_FACTOR = 1e-4       # orbit-distance threshold relative to state norms
 _LEVEL_GAP_FACTOR = 1e-6      # minimal relative gap between stored energy levels
 _DEFLATION_SIGMA = 1.0
@@ -58,12 +59,13 @@ _DEFLATION_SIGMA = 1.0
 
 def _block_eigenpairs(domain: DomainSpec, V: np.ndarray, k: int):
     """Lowest ``k`` eigenpairs of the stencil ``-lap_h + V``: ``eigh`` of its
-    matrix (the stencil applied to every unit vector) up to 2500 nodes, above
-    that shift-invert Lanczos at zero with ``_pcg_schrodinger`` as the inverse,
-    from a fixed start vector.  scipy is imported here, not at module level,
+    matrix (the stencil applied to every unit vector) up to
+    ``_DENSE_EIGH_NODES`` nodes, above that shift-invert Lanczos at zero with
+    ``_pcg_schrodinger`` as the inverse, from a fixed start vector, which
+    gives fewer pairs than nodes.  scipy is imported here, not at module level,
     so that the commands that never call the eigenbasis do not load it."""
     n = domain.size
-    if n <= 2500:
+    if n <= _DENSE_EIGH_NODES:
         from scipy.linalg import eigh
 
         A = _schrodinger_values(np.eye(n).reshape((n,) + domain.shape), V, domain)
@@ -90,7 +92,8 @@ def eigenbasis(spec: ProblemSpec, k: int) -> list[tuple[float, State]]:
 
     Pairs are orthonormal in the block inner product and sorted by ascending
     eigenvalue; ties resolve u-block first.  Limited to grids with at most
-    10^4 unknowns per component.
+    10^4 unknowns per component, and above ``_DENSE_EIGH_NODES`` nodes to
+    ``k`` below the node count.
     """
     dom = spec.domain
     n = dom.size
@@ -98,6 +101,10 @@ def eigenbasis(spec: ProblemSpec, k: int) -> list[tuple[float, State]]:
         raise ValueError(f"grid too large for the eigensolver ({n} unknowns per component)")
     if k < 1 or k > 2 * n:
         raise ValueError(f"k={k} exceeds the dimension of the discrete space ({2 * n})")
+    if n > _DENSE_EIGH_NODES and k >= n:
+        raise ValueError(f"k={k} needs every eigenpair of a {n}-node block; above "
+                         f"{_DENSE_EIGH_NODES} nodes the Lanczos eigensolver gives at most "
+                         f"{n - 1}")
     per_block = min(k, n)
     blocks = [_block_eigenpairs(dom, V, per_block) for V in (spec.V1.values, spec.V2.values)]
     keys = sorted((float(lam), block, j)

@@ -147,7 +147,7 @@ class _Points:
         """Overwrite ``rows`` with the points of ``new``, in order."""
         self.S[rows] = new.S
         self.moments.m[rows] = new.moments.m
-        self.moments = replace(self.moments, m=self.moments.m)   # drops cached columns
+        self.moments = replace(self.moments, m=self.moments.m)   # recomputes the columns
         self.energy[rows] = new.energy
         self.value[rows] = new.value
         for k, a in self.extra.items():

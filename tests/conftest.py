@@ -75,6 +75,20 @@ def random_state(spec, rng, smooth=False):
     return State.from_values(dom, u, v)
 
 
+def force_undominated_root(monkeypatch):
+    """Make the projection's root finder return a thousandth of the lower
+    end of its bracket, where the fibering value falls below the value at
+    that end."""
+    module = sys.modules["nehari.energy"]
+    root = module._project_ray
+
+    def below_bracket(rd):
+        t, bracket, iterations = root(rd)
+        return 1e-3 * bracket[0], bracket, iterations
+
+    monkeypatch.setattr(module, "_project_ray", below_bracket)
+
+
 def count_calls(monkeypatch, counts, name, weight=None):
     """Count calls of ``name`` in every nehari module namespace that binds it.
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nehari.grid import load_grid_function
+from nehari.grid import DomainError, load_grid_function
 from nehari.model import validate_potentials
 from nehari.energy import EnergyBreakdown
 from nehari.expressions import expr_to_text, parse_expr
@@ -22,6 +22,7 @@ from nehari.cli import (
     ConfigError,
     RunConfig,
     _CONFIG_SCHEMA,
+    build_domain,
     build_problem,
     default_config,
     emit_config,
@@ -29,7 +30,7 @@ from nehari.cli import (
     parse_config,
     run,
 )
-from conftest import count_calls
+from conftest import count_calls, force_undominated_root
 
 BOUNDED_SMALL = """
 [problem]
@@ -91,7 +92,16 @@ def test_config_schema_covers_every_field():
 @example(cfg=default_config("dirichlet_box"))
 @example(cfg=default_config("periodic_torus"))
 def test_config_round_trip_fixed_point(cfg):
-    """Every config parses back from its emitted text, which is a fixed point."""
+    """Every config parses back from its emitted text, which is a fixed
+    point.  A config whose domain cannot be built is a config error naming a
+    line, and it round-trips with its kind's default domain instead."""
+    try:
+        build_domain(cfg)
+    except DomainError:
+        with pytest.raises(ConfigError, match=r"^line \d+: bad value for '(lengths|resolution)'"):
+            parse_config(emit_config(cfg), cfg.command)
+        default = default_config(cfg.kind)
+        cfg = replace(cfg, lengths=default.lengths, resolution=default.resolution)
     text = emit_config(cfg)
     cfg2 = parse_config(text, cfg.command)
     assert cfg2 == cfg
@@ -708,6 +718,45 @@ def test_failed_validation_stops_the_command(tmp_path, capsys, monkeypatch, comm
     assert capsys.readouterr().err == (
         "error: hypothesis validation failed: f1: exponents above q (F4)\n")
     assert counts.get("_descend", 0) == 0
+
+
+def test_undominated_fibering_root_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    """A fibering root that does not dominate its bracket ends ``fibering``
+    with exit 4 and one line."""
+    force_undominated_root(monkeypatch)
+    assert main(["fibering", "--out", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == \
+        "numerical failure: fibering maximizer does not dominate its bracket\n"
+
+
+def test_fountain_beyond_the_lanczos_pair_count_is_a_config_error(tmp_path, capsys,
+                                                                  monkeypatch):
+    """On a box above the dense eigensolver's 2500 nodes, a ``k_max`` whose
+    eigenbasis needs every eigenpair of a block exits 2 with one line naming
+    k and the node count, before any Lanczos work."""
+    import scipy.sparse.linalg
+
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh was called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
+    cfg_file = tmp_path / "big.cfg"
+    cfg_file.write_text("[problem]\nlengths = 1.0, 1.0\nresolution = 51, 51\n\n"
+                        "[solve]\nk_max = 2595\n")
+    assert main(["fountain", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: k=2605 needs every eigenpair of a 2601-node block")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_output_is_an_error_line(tmp_path, capsys):
+    """An output directory under a regular file exits 2 with one ``error:``
+    line, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["validate", "--out", str(blocker / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker / "out") in err and err.count("\n") == 1
 
 
 def test_fibering_reads_one_set_of_ray_moments(tmp_path, monkeypatch):

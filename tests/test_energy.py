@@ -50,7 +50,7 @@ from nehari.energy import (
 from nehari.model import Nonlinearity, ProblemSpec
 from nehari.multiplicity import _apply_block
 from nehari.solver import SolveConfig, find_ground_state
-from conftest import count_calls, make_spec, random_state
+from conftest import count_calls, force_undominated_root, make_spec, random_state
 
 
 def sin_mode_constants(n):
@@ -375,28 +375,36 @@ def test_e_inner_matches_norm(bounded_2d_spec):
                                      "periodic_spec_1d", "periodic_spec_2d"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(1e-2, 1e2),
-       support=st.sampled_from(["both", "u", "v"]))
+       support=st.sampled_from(["both", "u", "v"]),
+       rows=st.sampled_from([None, 1, 2, 3, 4, 5, 6]))
 def test_projection_moments_match_projected_state(request, fixture, seed, amplitude,
-                                                  support):
-    """The moments the projection carries out are those of the state it returns."""
+                                                  support, rows):
+    """The moments the projection carries out are those of the state it
+    returns: of a single state (``rows`` None), and of each row of a pair
+    array of ``rows`` rows."""
     spec = request.getfixturevalue(fixture)
     rng = np.random.default_rng(seed)
     dom = spec.domain
-    u = amplitude * rng.standard_normal(dom.shape) * (support != "v")
-    v = amplitude * rng.standard_normal(dom.shape) * (support != "u")
-    rep, s_on = fibering_project(spec, State.from_values(dom, u, v))
-    carried = rep.moments
-    fresh = _ray_data(spec, s_on.u.values, s_on.v.values)
-    scale = (fresh.norm_sq + 2.0 * abs(fresh.cross) + fresh.q * fresh.mq
-             + sum(p * abs(c) for c, p in zip(fresh.coeffs, fresh.exps)))
-    pairs = [
-        (rep.phi_at_t, fresh.breakdown().total),
-        (carried.norm_sq, fresh.norm_sq),
-        (carried.xi(), fresh.xi()),
-        (carried.xi_slope(), fresh.xi_slope()),
-    ]
-    for got, want in pairs:
-        assert abs(got - want) <= 1e-12 * scale
+    u = amplitude * rng.standard_normal((rows or 1,) + dom.shape) * (support != "v")
+    v = amplitude * rng.standard_normal((rows or 1,) + dom.shape) * (support != "u")
+    if rows is None:
+        rep, s_on = fibering_project(spec, State.from_values(dom, u[0], v[0]))
+        projected = [(rep.phi_at_t, rep.moments, s_on.pair())]
+    else:
+        rep, on = fibering_project(spec, np.stack((u, v), axis=1))
+        projected = [(rep.phi_at_t[k], rep.moments.take(k), on[k]) for k in range(rows)]
+    for phi_at_t, carried, pair in projected:
+        fresh = _ray_data(spec, pair[0], pair[1])
+        scale = (fresh.norm_sq + 2.0 * abs(fresh.cross) + fresh.q * fresh.mq
+                 + sum(p * abs(c) for c, p in zip(fresh.coeffs, fresh.exps)))
+        pairs = [
+            (phi_at_t, fresh.breakdown().total),
+            (carried.norm_sq, fresh.norm_sq),
+            (carried.xi(), fresh.xi()),
+            (carried.xi_slope(), fresh.xi_slope()),
+        ]
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("fixture", ["small_bounded_spec", "bounded_2d_spec",
@@ -423,6 +431,34 @@ def test_batched_projection_rows_match_single_projections(request, fixture, seed
         assert np.array_equal(rep.moments.m[k], alone.moments.m)
         assert np.array_equal(on[k], s_on.pair())
     assert rep.iterations == newton
+
+
+def test_projection_rejects_a_root_below_its_bracket(bounded_spec, monkeypatch):
+    """A root whose fibering value falls below a bracket end fails the
+    domination check of a batch of rows."""
+    rng = np.random.default_rng(3)
+    S = np.stack([random_state(bounded_spec, rng).pair() for _ in range(3)])
+    fibering_project(bounded_spec, S)
+    force_undominated_root(monkeypatch)
+    with pytest.raises(RuntimeError, match="fibering maximizer does not dominate its bracket"):
+        fibering_project(bounded_spec, S)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6))
+def test_ray_moments_of_a_batch_equal_their_float_rows(bounded_2d_spec, seed, rows):
+    """Evaluated on a batch, the fibering value, its slope and the scaled
+    moments equal, bit for bit, the same row's evaluation on Python floats,
+    as the projection's root finder and the ``fibering`` command use them."""
+    spec = bounded_2d_spec   # non-integer exponents 2.5, 3.5 and 4.5
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((rows, 2) + spec.domain.shape)
+    rd = _ray_data(spec, S[:, 0], S[:, 1])
+    t = rng.uniform(0.5, 2.0, rows)
+    for k in range(rows):
+        row, tk = rd.take(k), float(t[k])
+        assert (rd.phi(t)[k], rd.phi_prime(t)[k]) == (row.phi(tk), row.phi_prime(tk))
+        assert rd.scaled(t).m[k].tolist() == row.scaled(tk).m.tolist()
 
 
 def _bisect_root(rd, lo, hi):
@@ -467,7 +503,7 @@ def test_projection_next_to_the_manifold_reaches_roundoff(bounded_spec, seed, ep
     s = random_state(bounded_spec, np.random.default_rng(seed))
     on = fibering_project(bounded_spec, s)[1]
     rd = _ray_data(bounded_spec, on.u.values, on.v.values)
-    ray = type(rd)(np.array(rd.scaled_row(1.0 + eps)), rd.exps, rd.inv_p, rd.q)
+    ray = rd.scaled(1.0 + eps)
     t, (lo, hi), iterations = _project_ray(ray)
     reference = _bisect_root(ray, lo, hi)
     assert abs(t - reference) <= 1e-14 * reference
