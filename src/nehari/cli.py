@@ -75,8 +75,6 @@ class RunConfig:
     # [solve]
     max_iters: int = 500
     grad_tol: float = 1e-8
-    armijo_c1: float = 1e-4
-    armijo_backtrack: float = 0.5
     starts: int = 5
     seed: int = 0
     target_count: int = 3
@@ -87,13 +85,8 @@ class RunConfig:
     label: str = "run"
 
     def solve_config(self) -> SolveConfig:
-        return SolveConfig(
-            max_iters=self.max_iters,
-            grad_tol=self.grad_tol,
-            armijo=(self.armijo_c1, self.armijo_backtrack),
-            starts=self.starts,
-            seed=self.seed,
-        )
+        return SolveConfig(max_iters=self.max_iters, grad_tol=self.grad_tol,
+                           starts=self.starts, seed=self.seed)
 
 
 def default_config(kind: str = "dirichlet_box") -> RunConfig:
@@ -163,8 +156,6 @@ _CONFIG_SCHEMA = (
     ("problem", "init_v", "init_v", _as_expr, _quoted),
     ("solve", "max_iters", "max_iters", int, str),
     ("solve", "grad_tol", "grad_tol", float, str),
-    ("solve", "armijo_c1", "armijo_c1", float, str),
-    ("solve", "armijo_backtrack", "armijo_backtrack", float, str),
     ("solve", "starts", "starts", int, str),
     ("solve", "seed", "seed", int, str),
     ("solve", "target_count", "target_count", int, str),
@@ -175,6 +166,10 @@ _CONFIG_SCHEMA = (
 )
 _SECTIONS = ("problem", "solve", "output")
 
+# Keys of removed settings, with their parse and the one value older configs carry.
+_RETIRED_KEYS = (("solve", "armijo_c1", float, 1e-4), ("solve", "armijo_backtrack", float, 0.5),
+                 ("solve", "recenter_every", int, 0))
+
 
 def parse_config(text: str, command: str = "validate") -> RunConfig:
     """Parse the sectioned key=value format into a RunConfig; an unknown
@@ -182,8 +177,8 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
     cannot parse is an error, named by line and key; so is a ``lengths``
     whose axes disagree with ``resolution`` and a domain that
     :func:`build_domain` rejects for ``command``, on the later line of the
-    keys at fault (the one given, when the other is the default).  The
-    retired key of in-descent recentering parses only at its old default 0."""
+    keys at fault (the one given, when the other is the default).  A key of
+    ``_RETIRED_KEYS`` parses only at its old value."""
     sections: dict[str, dict[str, tuple[int, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -203,9 +198,9 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicated key {key!r} in section [{current}]")
         sections[current][key] = (lineno, value)
 
-    def retired(value):
-        if int(value) != 0:
-            raise ConfigError("the key is retired; only 0 is accepted")
+    def retired(value, parse, old):
+        if parse(value) != old:
+            raise ConfigError(f"the key is retired; only {old!r} is accepted")
 
     def parsed(section, key, parse):
         lineno, value = sections[section].pop(key)
@@ -219,8 +214,9 @@ def parse_config(text: str, command: str = "validate") -> RunConfig:
     values = {attr: parsed(section, key, parse) for section, key, attr, parse, _ in _CONFIG_SCHEMA
               if key in sections.get(section, {})}
     cfg = replace(default_config(values.get("kind", "dirichlet_box")), command=command, **values)
-    if "recenter_every" in sections.get("solve", {}):
-        parsed("solve", "recenter_every", retired)
+    for section, key, parse, old in _RETIRED_KEYS:
+        if key in sections.get(section, {}):
+            parsed(section, key, lambda value: retired(value, parse, old))
 
     for section, entries in sections.items():
         if entries:
@@ -270,8 +266,7 @@ def build_domain(cfg: RunConfig) -> DomainSpec:
     return domain
 
 
-def _sample_expression(domain: DomainSpec, text: str, name: str,
-                       require_periodic: bool, tile: bool) -> GridFunction:
+def _sample_expression(domain: DomainSpec, text: str, name: str, tile: bool) -> GridFunction:
     ast = parse_expr(text)
 
     def fn(*mesh):
@@ -279,16 +274,14 @@ def _sample_expression(domain: DomainSpec, text: str, name: str,
         return np.broadcast_to(np.asarray(eval_expr(ast, env), dtype=float),
                                mesh[0].shape).copy()
 
-    if require_periodic and domain.periodic:
+    if tile and domain.periodic:
         rng = np.random.default_rng(12345)
         pts = [rng.uniform(0.0, p, size=64) for p in domain.lengths]
         env = {f"x{a + 1}": pts[a] for a in range(domain.dimension)}
         base = np.asarray(eval_expr(ast, env), dtype=float)
         scale = 1.0 + float(np.max(np.abs(base)))
         for a in range(domain.dimension):
-            env_a = dict(env)
-            env_a[f"x{a + 1}"] = pts[a] + 1.0
-            shifted = np.asarray(eval_expr(ast, env_a), dtype=float)
+            shifted = np.asarray(eval_expr(ast, {**env, f"x{a + 1}": pts[a] + 1.0}), dtype=float)
             if np.max(np.abs(shifted - base)) > 1e-9 * scale:
                 raise ValidationError(
                     f"expression for {name} is not 1-periodic in x{a + 1} "
@@ -299,9 +292,9 @@ def _sample_expression(domain: DomainSpec, text: str, name: str,
 
 def build_problem(cfg: RunConfig) -> ProblemSpec:
     domain = build_domain(cfg)
-    v1 = _sample_expression(domain, cfg.v1, "v1", True, True)
-    v2 = _sample_expression(domain, cfg.v2, "v2", True, True)
-    lam = _sample_expression(domain, cfg.lam, "lambda", True, True)
+    v1 = _sample_expression(domain, cfg.v1, "v1", True)
+    v2 = _sample_expression(domain, cfg.v2, "v2", True)
+    lam = _sample_expression(domain, cfg.lam, "lambda", True)
     return ProblemSpec(
         domain=domain, q=cfg.q,
         f1=Nonlinearity(cfg.f1), f2=Nonlinearity(cfg.f2),
@@ -320,8 +313,8 @@ def default_periodic_spec() -> ProblemSpec:
 def _initial_state(cfg: RunConfig, spec: ProblemSpec) -> State:
     if cfg.init_u is not None or cfg.init_v is not None:
         dom = spec.domain
-        u = _sample_expression(dom, cfg.init_u or "0", "init_u", False, False)
-        v = _sample_expression(dom, cfg.init_v or "0", "init_v", False, False)
+        u = _sample_expression(dom, cfg.init_u or "0", "init_u", False)
+        v = _sample_expression(dom, cfg.init_v or "0", "init_v", False)
         return State(u, v)
     return State.from_pair(spec.domain, initial_states(spec, cfg.solve_config())[0])
 

@@ -159,6 +159,8 @@ def _growth_constant(spec: ProblemSpec) -> float:
 
 _ASCENT_STEPS = 200          # accepted steps after which an ascent row stops
 _ASCENT_GTOL = 1e-7          # tangent-gradient norm, relative to the value, that ends a row
+_ASCENT_RESTARTS = 20        # random starts per level of the beta_k ascent
+_TAIL_BUFFER = 10            # eigenpairs past k_max that every tail span holds
 _RAY_DIRS = 20               # random directions per level of the rho_k radius scan
 
 
@@ -225,25 +227,30 @@ def _sphere_ascent(X0, B, p, vol):
     return X, val
 
 
-def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
-                         restarts: int = 20, seed: int = 0) -> FountainReport:
+def fountain_diagnostics(spec: ProblemSpec, k_max: int, seed: int = 0) -> FountainReport:
     """Compute the nested-subspace quantities on the eigenbasis.
 
-    ``beta_k`` is the best of ``restarts`` projected ascents over the unit
-    sphere of the tail span (a lower estimate); the maximizer of level
-    ``k+1`` seeds level ``k``, which makes the reported sequence
-    nonincreasing by construction.  ``rho_k`` doubles the radius until the
-    sampled energy maximum over the head-span sphere is nonpositive.
+    ``beta_k`` is the best of ``_ASCENT_RESTARTS`` projected ascents over the
+    unit sphere of the span of pairs ``k .. k_max + _TAIL_BUFFER`` (at most all
+    ``2n``, exact, on the dense route), a lower estimate; the maximizer of level
+    ``k+1`` seeds level ``k``, which makes the sequence nonincreasing.  ``rho_k``
+    doubles the radius until the sampled energy maximum over the head-span
+    sphere is nonpositive.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if buffer < 0:
-        raise ValueError("buffer must be nonnegative")
-    basis = eigenbasis(spec, k_max + buffer)
-    K = len(basis)
     dom = spec.domain
+    n, wanted = dom.size, k_max + _TAIL_BUFFER
+    if k_max > 2 * n:
+        raise ValueError(f"k_max={k_max} exceeds the dimension of the discrete space ({2 * n})")
+    if n > _DENSE_EIGH_NODES and wanted >= n:
+        raise ValueError(f"k_max={k_max} plus {_TAIL_BUFFER} buffer pairs needs every eigenpair "
+                         f"of a {n}-node block; above {_DENSE_EIGH_NODES} nodes the Lanczos "
+                         f"eigensolver gives at most {n - 1}")
+    basis = eigenbasis(spec, min(wanted, 2 * n))
+    K = len(basis)
     vol = dom.cell_volume
     p = spec.p_max
     delta = spec.effective_delta()
@@ -261,7 +268,7 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
     prev = 0.0
     for k in range(k_max, 0, -1):
         dim = K - (k - 1)
-        starts = rng.standard_normal((restarts, dim))
+        starts = rng.standard_normal((_ASCENT_RESTARTS, dim))
         if carry is not None:
             starts = np.vstack([starts, np.concatenate([[0.0], carry])])
         X, vals = _sphere_ascent(starts, B[k - 1:], p, vol)
@@ -300,7 +307,7 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, buffer: int = 10,
     rep = FountainReport(k_max, beta, r, b_lower, a_check)
     if any(b2 > b1 for b1, b2 in zip(beta, beta[1:])):
         raise RuntimeError("beta sequence failed to be nonincreasing")
-    if not beta[-1] < beta[0]:
+    if k_max > 1 and not beta[-1] < beta[0]:
         raise RuntimeError("beta sequence did not decrease overall")
     return rep
 
@@ -420,19 +427,18 @@ class SolutionSet:
         self.pairwise_distances = upper + upper.T
         return "added"
 
-    def format_manifest(self, file_names: list[str] | None = None,
-                        target_count: int | None = None) -> str:
-        """One row per solution (the only lines that start with a digit), a
-        ``found N of target_count M`` line when fewer than ``target_count``
-        were found, and the pairwise orbit distances."""
+    def format_manifest(self, file_names: list[str], target_count: int) -> str:
+        """One row per solution (the only lines that start with a digit) with
+        its entry of ``file_names``, a ``found N of target_count M`` line when
+        fewer than ``target_count`` were found, and the pairwise orbit
+        distances."""
         lines = ["index,energy,grad_residual,xi_residual,norm,files"]
         for i, (_, rep) in enumerate(self.entries):
-            name = file_names[i] if file_names else f"solution_{i:02d}"
             lines.append(
                 f"{i},{rep.energy:.17g},{rep.grad_residual:.17g},"
-                f"{rep.xi_residual:.17g},{rep.norm:.17g},{name}"
+                f"{rep.xi_residual:.17g},{rep.norm:.17g},{file_names[i]}"
             )
-        if target_count is not None and len(self) < target_count:
+        if len(self) < target_count:
             lines.append(f"found {len(self)} of target_count {target_count}")
         lines.append("pairwise orbit distances:")
         for i in range(len(self.entries)):

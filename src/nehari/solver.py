@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 60
+_ARMIJO_C1 = 1e-4               # sufficient-decrease fraction of the slope
+_ARMIJO_BACKTRACK = 0.5         # step factor after a rejected trial
 _DECAY_WINDOW = (1e-12, 1e-3)   # fitted amplitudes, relative to the peak amplitude
 
 
@@ -70,7 +72,6 @@ class SolverStallError(RuntimeError):
 class SolveConfig:
     max_iters: int = 500
     grad_tol: float = 1e-8
-    armijo: tuple[float, float] = (1e-4, 0.5)   # (c1, backtrack factor)
     starts: int = 5
     seed: int = 0
 
@@ -83,9 +84,6 @@ class SolveConfig:
             raise ValueError("seed must be nonnegative")
         if self.starts < 1:
             raise ValueError("starts must be at least 1")
-        c1, back = self.armijo
-        if not (0 < c1 < 1 and 0 < back < 1):
-            raise ValueError("armijo parameters must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -295,7 +293,6 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
                           filters and filters[i:i + batch], trace and trace[i:i + batch])
                  for i in range(0, n_rows, batch)]
         return [r for reps, _ in parts for r in reps], np.concatenate([f for _, f in parts])
-    c1, back = config.armijo
     status = ["max_iters"] * n_rows
     iterations = np.zeros(n_rows, dtype=int)
     residual = np.full(n_rows, np.inf)
@@ -367,13 +364,13 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
                 tried = searching[nonzero]
                 cand = _evaluate(spec, objective, trial if nonzero.all() else trial[nonzero])
                 _require_finite(cand.value, "objective value", it + 1, start_index, idx[tried])
-                better = cand.value <= (pts.value[tried] + c1 * alpha[tried] * slope[tried]
+                better = cand.value <= (pts.value[tried] + _ARMIJO_C1 * alpha[tried] * slope[tried]
                                         + fuzz[tried])
                 if better.any():
                     pts.put(tried[better], cand if better.all() else cand.take(better))
                     stop[tried[better]] = False
                 ok[nonzero] = better
-            alpha[searching[~ok]] *= back
+            alpha[searching[~ok]] *= _ARMIJO_BACKTRACK
             searching = searching[~ok]
             searching = searching[alpha[searching] * reach[searching] > grain[searching]]
         trial = cand = None   # release the search's arrays before the next gradient

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from nehari.grid import DomainError, load_grid_function
 from nehari.model import validate_potentials
@@ -22,6 +23,7 @@ from nehari.cli import (
     ConfigError,
     RunConfig,
     _CONFIG_SCHEMA,
+    _RETIRED_KEYS,
     build_domain,
     build_problem,
     default_config,
@@ -62,8 +64,7 @@ _CONFIG_FIELDS = {
     "q": _FLOATS, "delta": _FLOATS, "f1": _TERMS, "f2": _TERMS,
     "v1": _EXPRESSIONS, "v2": _EXPRESSIONS, "lam": _EXPRESSIONS,
     "init_u": st.none() | _EXPRESSIONS, "init_v": st.none() | _EXPRESSIONS,
-    "max_iters": _INTS, "grad_tol": _FLOATS, "armijo_c1": _FLOATS,
-    "armijo_backtrack": _FLOATS, "starts": _INTS, "seed": _INTS,
+    "max_iters": _INTS, "grad_tol": _FLOATS, "starts": _INTS, "seed": _INTS,
     "target_count": _INTS, "collapse_budget": _INTS,
     "k_max": _INTS, "out_dir": _WORDS, "label": _WORDS,
 }
@@ -93,8 +94,9 @@ def test_config_schema_covers_every_field():
 @example(cfg=default_config("periodic_torus"))
 def test_config_round_trip_fixed_point(cfg):
     """Every config parses back from its emitted text, which is a fixed
-    point.  A config whose domain cannot be built is a config error naming a
-    line, and it round-trips with its kind's default domain instead."""
+    point and holds no retired key.  A config whose domain cannot be built
+    is a config error naming a line, and it round-trips with its kind's
+    default domain instead."""
     try:
         build_domain(cfg)
     except DomainError:
@@ -103,6 +105,8 @@ def test_config_round_trip_fixed_point(cfg):
         default = default_config(cfg.kind)
         cfg = replace(cfg, lengths=default.lengths, resolution=default.resolution)
     text = emit_config(cfg)
+    assert not {line.split(" = ")[0] for line in text.splitlines()} & \
+        {key for _, key, _, _ in _RETIRED_KEYS}
     cfg2 = parse_config(text, cfg.command)
     assert cfg2 == cfg
     assert emit_config(cfg2) == text
@@ -124,8 +128,6 @@ lambda = "0.3"
 [solve]
 max_iters = 500
 grad_tol = 1e-08
-armijo_c1 = 0.0001
-armijo_backtrack = 0.5
 starts = 5
 seed = 0
 target_count = 3
@@ -152,6 +154,69 @@ def test_retired_recenter_key_parses_at_zero_only():
     assert emit_config(cfg) == DEFAULT_CONFIG_TEXT
 
 
+@st.composite
+def _retired_spellings(draw):
+    """A retired key and a text its parser reads as the key's old value: a
+    sign and leading zeros, and for floats any exact positional or
+    scientific form (``1e-4``, ``0.000100``, ``01.0E-004``)."""
+    section, key, parse, old = draw(st.sampled_from(_RETIRED_KEYS))
+    sign = draw(st.sampled_from(["", "+"] + ["-"] * (old == 0)))
+    lead = "0" * draw(st.integers(0, 3))
+    if parse is int:
+        return section, key, f"{sign}{lead}{old}"
+    exact = Decimal(repr(old)).as_tuple()
+    zeros = draw(st.integers(0, 4))
+    digits = "".join(map(str, exact.digits)) + "0" * zeros
+    exponent = exact.exponent - zeros
+    if draw(st.booleans()):
+        return section, key, sign + lead + format(Decimal(digits).scaleb(exponent), "f")
+    point = draw(st.integers(1, len(digits)))
+    fraction = "." + digits[point:] if point < len(digits) else draw(st.sampled_from(["", "."]))
+    power = exponent + len(digits) - point
+    power_sign = "-" if power < 0 else draw(st.sampled_from(["", "+"]))
+    width = draw(st.integers(1, 3))
+    return section, key, (f"{sign}{lead}{digits[:point]}{fraction}{draw(st.sampled_from('eE'))}"
+                          f"{power_sign}{abs(power):0{width}d}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry=_retired_spellings(), position=st.integers(0, 6))
+@example(entry=("solve", "armijo_c1", "1e-4"), position=0)
+@example(entry=("solve", "armijo_c1", "0.0001"), position=1)
+@example(entry=("solve", "armijo_c1", "1.0E-04"), position=2)
+@example(entry=("solve", "recenter_every", "0"), position=3)
+@example(entry=("solve", "recenter_every", "00"), position=6)
+def test_retired_keys_parse_at_their_old_value(entry, position):
+    """Every retired key, at any place in its section and in any spelling
+    of its old value, parses to the same config and is not emitted again."""
+    section, key, value = entry
+    head, rest = DEFAULT_CONFIG_TEXT.split(f"[{section}]\n")
+    lines = rest.splitlines(keepends=True)
+    lines.insert(position, f"{key} = {value}\n")
+    cfg = parse_config(f"{head}[{section}]\n" + "".join(lines))
+    assert cfg == default_config()
+    assert emit_config(cfg) == DEFAULT_CONFIG_TEXT
+
+
+_LINE_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(retired=st.sampled_from(_RETIRED_KEYS), blank=st.integers(0, 4),
+       value=st.one_of(st.floats().map(repr), _INTS.map(str), _LINE_TEXT))
+def test_retired_keys_reject_every_other_value(retired, blank, value):
+    """A retired key at any value but its old one is a config error that
+    names its line and key."""
+    section, key, parse, old = retired
+    try:
+        assume(parse(value) != old)
+    except ValueError:
+        pass
+    with pytest.raises(ConfigError, match=rf"^line {blank + 2}: bad value for '{key}' "
+                                          rf"in section \[{section}\]: "):
+        parse_config("\n" * blank + f"[{section}]\n{key} = {value}\n")
+
+
 def _benchmark_workloads():
     """The benchmark's workload table (a stdlib-only module), loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -169,13 +234,18 @@ _WORKLOADS = _benchmark_workloads()
 
 
 @pytest.mark.parametrize("name", sorted(_WORKLOADS))
-def test_benchmark_workload_configs_parse(name):
-    """Every config the benchmark writes parses, so a retired or renamed key
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10 ** 9), out_dir=_WORDS)
+@example(seed=1, out_dir="out")
+def test_benchmark_workload_configs_parse(name, seed, out_dir):
+    """Every config the benchmark writes, at any seed and output directory,
+    parses with the retired keys it carries, so a retired or renamed key
     cannot silently fail every benchmark op."""
     workload = _WORKLOADS[name]
-    cfg = parse_config(workload.config_text(1, "out"), workload.command)
+    cfg = parse_config(workload.config_text(seed, out_dir), workload.command)
     assert (cfg.command, cfg.kind, cfg.starts) == (workload.command, workload.problem.kind,
                                                    workload.starts)
+    assert (cfg.seed, cfg.out_dir) == (seed, out_dir)
 
 
 def test_report_records_golden():
@@ -575,6 +645,8 @@ def test_deeply_nested_expression_exit_code(tmp_path, capsys, value):
     ("ground", "recenter_every = -1"),
     ("ground", "recenter_every = 5"),
     ("ground", "recenter_every = 0\nrecenter_every = 0"),
+    ("ground", "armijo_c1 = 0.001"),
+    ("multiplicity", "armijo_backtrack = 0.25"),
     ("ground", "seed = -1"),
     ("fountain", "seed = -1"),
     ("multiplicity", "target_count = 0"),
@@ -626,6 +698,9 @@ def test_unparsable_value_exit_code(tmp_path, capsys, section, setting):
      "line 6: unknown key 'foo' in section [solve]"),
     ("[solve]\nrecenter_every = 5\n",
      "line 2: bad value for 'recenter_every' in section [solve]: "),
+    ("[solve]\nseed = 1\narmijo_backtrack = 0.25\n",
+     "line 3: bad value for 'armijo_backtrack' in section [solve]: the key is retired; "
+     "only 0.5 is accepted"),
     ("[problem]\nlengths = 1.0, 2.0\n",
      "line 2: 'lengths' and 'resolution' in section [problem] must have the same "
      "number of axes ('lengths' has 2, 'resolution' has 1)"),
@@ -663,7 +738,7 @@ def test_unparsable_value_exit_code(tmp_path, capsys, section, setting):
 ])
 def test_unknown_key_and_kind_name_their_line(tmp_path, capsys, text, message):
     """An unknown key, an unknown domain kind, a retired key set to a value
-    other than 0, ``lengths`` and ``resolution`` of different axis counts
+    other than its old one, ``lengths`` and ``resolution`` of different axis counts
     and a domain they cannot make are config errors on their line: exit 2,
     one line."""
     cfg_file = tmp_path / "bad.cfg"
@@ -745,8 +820,43 @@ def test_fountain_beyond_the_lanczos_pair_count_is_a_config_error(tmp_path, caps
                         "[solve]\nk_max = 2595\n")
     assert main(["fountain", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: k=2605 needs every eigenpair of a 2601-node block")
+    assert err.startswith("error: k_max=2595 plus 10 buffer pairs needs every eigenpair of a "
+                          "2601-node block")
     assert err.count("\n") == 1
+
+
+def test_fountain_with_one_level(tmp_path):
+    """``k_max = 1`` has no overall decrease to check: exit 0 and one row."""
+    cfg_file = tmp_path / "one.cfg"
+    cfg_file.write_text("[solve]\nk_max = 1\n")
+    assert main(["fountain", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "run_fountain.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("1,")
+
+
+_BOX_8 = "resolution = 8"
+_TORUS_4 = "kind = periodic_torus\nlengths = 2\nresolution = 4"
+
+
+@pytest.mark.parametrize("problem, nodes, k_max", [
+    (_BOX_8, 8, 10), (_BOX_8, 8, 16), (_BOX_8, 8, 17),
+    (_TORUS_4, 4, 1), (_TORUS_4, 4, 8), (_TORUS_4, 4, 9),
+])
+def test_fountain_on_grids_smaller_than_its_buffer(tmp_path, capsys, problem, nodes, k_max):
+    """On the dense route the eigenbasis is cut at all 2n pairs of the
+    discrete space, so every ``k_max`` up to 2n runs, with one CSV row per
+    level; a larger one exits 2 naming ``k_max``."""
+    cfg_file = tmp_path / "small.cfg"
+    cfg_file.write_text(f"[problem]\n{problem}\n\n[solve]\nk_max = {k_max}\n")
+    code = main(["fountain", "--config", str(cfg_file), "--out", str(tmp_path)])
+    if k_max > 2 * nodes:
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: k_max={k_max} exceeds the dimension of the "
+                                           f"discrete space ({2 * nodes})\n")
+    else:
+        assert code == 0
+        rows = np.loadtxt(tmp_path / "run_fountain.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows.shape[0] == k_max and np.all(np.diff(rows[:, 1]) <= 0)
 
 
 def test_unwritable_output_is_an_error_line(tmp_path, capsys):

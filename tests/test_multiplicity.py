@@ -103,8 +103,6 @@ def test_eigenbasis_guards(small_bounded_spec):
     big = make_spec(DomainSpec.dirichlet_box((1.0, 1.0), (128, 128)))
     with pytest.raises(ValueError):
         eigenbasis(big, 4)
-    with pytest.raises(ValueError, match="buffer"):   # fewer pairs than k_max
-        fountain_diagnostics(small_bounded_spec, 10, buffer=-3)
 
 
 def test_orbit_distance_quotients(periodic_spec_1d):
@@ -156,7 +154,7 @@ def test_orbit_distance_bounded_sign_quotient(small_bounded_spec):
 
 def test_fountain_diagnostics_small(small_bounded_spec):
     spec = small_bounded_spec
-    rep = fountain_diagnostics(spec, 10, buffer=6, restarts=8, seed=0)
+    rep = fountain_diagnostics(spec, 10, seed=0)
     assert len(rep.beta) == 10
     assert all(b2 <= b1 for b1, b2 in zip(rep.beta, rep.beta[1:]))
     assert rep.beta[-1] < rep.beta[0]
@@ -180,7 +178,7 @@ def test_fountain_diagnostics_small(small_bounded_spec):
 
 
 def test_fountain_b_lower_trend(small_bounded_spec):
-    rep = fountain_diagnostics(small_bounded_spec, 12, buffer=8, restarts=8, seed=1)
+    rep = fountain_diagnostics(small_bounded_spec, 12, seed=1)
     tail = rep.b_lower[-4:]
     assert all(b2 >= b1 for b1, b2 in zip(tail, tail[1:]))
 
@@ -384,7 +382,7 @@ def test_find_distinct_solutions_full(bounded_spec):
     # every entry satisfies the manifold invariants
     for s, r in sols.entries:
         assert r.xi_residual <= 1e-10 * r.norm ** 2
-    manifest = sols.format_manifest()
+    manifest = sols.format_manifest([f"sol{i:02d}" for i in range(len(sols))], 3)
     assert manifest.startswith("index,energy")
 
 

@@ -49,8 +49,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(starts=0)
     with pytest.raises(ValueError):
-        SolveConfig(armijo=(1.5, 0.5))
-    with pytest.raises(ValueError):
         SolveConfig(seed=-1)
 
 
