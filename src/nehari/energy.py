@@ -30,10 +30,12 @@ from numpy.fft import irfftn, rfft, rfftn
 from .grid import (
     DomainSpec,
     GridFunction,
+    _both,
     _csum,
     _format_record,
     _gradient_energy,
     _schrodinger_values,
+    _threaded,
     _trailing_axes,
 )
 from .model import ProblemSpec
@@ -190,30 +192,42 @@ class _RayData:
                                quad - self.cross - fpart + qpart)
 
 
-def _ray_data(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> _RayData:
-    """Ray moments of the states ``(u, v)``; leading axes of ``u`` and ``v``
-    index the states, and the reductions run over the trailing grid axes."""
+def _ray_half(spec: ProblemSpec, s: np.ndarray, V: np.ndarray, nl, cross_with=None):
+    """The moments ``_ray_data`` takes from one component ``s``: its gradient
+    energy, ``int V s^2``, ``int lam cross_with s`` when ``cross_with`` is
+    given (else ``None``), ``sum |s|^q`` and ``a_j int |s|^{p_j}`` per term."""
     dom = spec.domain
     vol = dom.cell_volume
-    axes = _trailing_axes(u, dom)
+    axes = _trailing_axes(s, dom)
+    # the weighted products (w x) s, each formed in one temporary
+    t = V * s
+    t *= s
+    potential = np.sum(t, axis=axes) * vol
+    cross = None
+    if cross_with is not None:
+        t = spec.lam.values * cross_with
+        t *= s
+        cross = np.sum(t, axis=axes) * vol
+    del t   # freed before |s| and its powers
+    a = np.abs(s)
+    return (_gradient_energy(s, dom), potential, cross, np.sum(a ** spec.q, axis=axes),
+            [c * np.sum(a ** p, axis=axes) * vol for c, p in nl.terms])
 
-    def total(x):
-        return np.sum(x, axis=axes)
 
-    norm_sq = (
-        _gradient_energy(u, dom) + total(spec.V1.values * u * u) * vol
-        + _gradient_energy(v, dom) + total(spec.V2.values * v * v) * vol
-    )
-    cross = total(spec.lam.values * u * v) * vol
-    au, av = np.abs(u), np.abs(v)
-    columns = [norm_sq, cross, (total(au ** spec.q) + total(av ** spec.q)) * vol]
-    exps = []
-    for comp, nl in ((au, spec.f1), (av, spec.f2)):
-        for a, p in nl.terms:
-            columns.append(a * total(comp ** p) * vol)
-            exps.append(p)
-    return _RayData(np.stack(columns, axis=-1), tuple(exps),
-                    tuple(1.0 / p for p in exps), spec.q)
+def _ray_data(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> _RayData:
+    """Ray moments of the states ``(u, v)``; leading axes of ``u`` and ``v``
+    index the states, and the reductions run over the trailing grid axes.
+
+    The u-moments and the v-moments (with the cross term) are two calls of
+    ``_ray_half``, on two threads past the thread gate (``grid._both``), and
+    combine in one fixed order whichever thread formed them.
+    """
+    (gu, pu, _, qu, tu), (gv, pv, cross, qv, tv) = _both(
+        _ray_half, (spec, u, spec.V1.values, spec.f1),
+        (spec, v, spec.V2.values, spec.f2, u), u.size)
+    columns = [gu + pu + gv + pv, cross, (qu + qv) * spec.domain.cell_volume] + tu + tv
+    exps = tuple(p for _, p in spec.f1.terms + spec.f2.terms)
+    return _RayData(np.stack(columns, axis=-1), exps, tuple(1.0 / p for p in exps), spec.q)
 
 
 def _state_values(spec: ProblemSpec, s: State) -> tuple[np.ndarray, np.ndarray]:
@@ -255,15 +269,33 @@ def _pair_kernel(spec: ProblemSpec, s, kernel):
     return State.from_pair(spec.domain, kernel(np.stack(_state_values(spec, s))[None])[0])
 
 
+def _grad_half(spec: ProblemSpec, S: np.ndarray, c: int, G: np.ndarray) -> None:
+    """Component ``c`` of ``grad_l2``'s kernel on the pair array ``S``,
+    written into ``G[:, c]``: the operations of the whole-array route on
+    that component, in its order."""
+    s, nl = S[:, c], (spec.f1, spec.f2)[c]
+    g = np.subtract(_schrodinger_values(s, spec.potential_pair[c], spec.domain),
+                    spec.lam.values * S[:, 1 - c], out=G[:, c])
+    g -= nl.f(s)
+    g += np.abs(s) ** (spec.q - 2.0) * s
+
+
 def grad_l2(spec: ProblemSpec, s):
     """L2 representative of ``J'(s)``: the pair of strong-form residual fields.
 
     ``s`` is a state, or a pair array ``(rows, 2, *shape)`` whose rows are
-    treated at once; the result has the same form.
+    treated at once; the result has the same form.  Past the thread gate
+    (``grid._threaded``) the two components are formed on two threads
+    (``_grad_half``), bit for bit as the whole-array route forms them.
     """
     q, lam = spec.q, spec.lam.values
 
     def kernel(S):
+        nodes = S.size // 2
+        if _threaded(nodes):
+            G = np.empty(S.shape)
+            _both(_grad_half, (spec, S, 0, G), (spec, S, 1, G), nodes)
+            return G
         G = _schrodinger_values(S, spec.potential_pair, spec.domain) - lam * S[:, ::-1]
         for c, nl in enumerate((spec.f1, spec.f2)):
             G[:, c] -= nl.f(S[:, c])
@@ -391,14 +423,34 @@ def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarra
     the axes are transformed in scipy's order and the scale is applied on
     the first axis of the inverse, as pocketfft does.  Axes on the dense
     route agree with it to roundoff.
+
+    On those all-FFT domains the two halves of the systems are solved on two
+    threads past the thread gate (``grid._both``); the transforms act line
+    by line, so each half comes out as inside the whole batch.  A domain
+    with a dense-route axis keeps one call: OpenBLAS threads its products
+    already, and their bits depend on the product's line count.
     """
+    half = len(rhs) // 2
+    nodes = rhs[:half].size
+    if half and _threaded(nodes) and (domain.periodic or not any(map(_dense_sine, domain.shape))):
+        out = np.empty(rhs.shape)
+        _both(_transform_solve, (domain, rhs[:half], shifts[:half], out[:half]),
+              (domain, rhs[half:], shifts[half:], out[half:]), nodes)
+        return out
+    return _transform_solve(domain, rhs, shifts)
+
+
+def _transform_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``_constant_shift_solve`` of all of ``rhs`` in one pass of transforms,
+    into ``out`` when it is given."""
     axes = _trailing_axes(rhs, domain)
     symbol = _shift_symbol(domain) + shifts.reshape((-1,) + (1,) * domain.dimension)
     if domain.periodic:
         # numpy takes the complex axes last to first, scipy first to last
         coeff = rfftn(rhs, axes=axes[-2::-1] + axes[-1:])
         coeff /= symbol
-        out = irfftn(coeff, s=domain.shape, axes=axes, norm="forward")
+        out = irfftn(coeff, s=domain.shape, axes=axes, norm="forward", out=out)
         out *= _inverse_norm(domain)
         return out
     coeff = rhs
@@ -409,7 +461,10 @@ def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarra
     for a in axes:
         coeff = _sine_transform(coeff, a, scale)
         scale = 1.0   # pocketfft scales the first axis only
-    return coeff
+    if out is None:
+        return coeff
+    out[...] = coeff
+    return out
 
 
 _PCG_RTOL = 1e-10

@@ -27,7 +27,10 @@ in particular under periodic shifts, and plainly inside (``_pair_inner``).
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -220,9 +223,95 @@ def _csum(arr: np.ndarray) -> float:
     return float(np.sum(np.sort(arr, axis=None)))
 
 
+# ---------------------------------------------------------------------------
+# the two halves of a pair kernel on two threads
+# ---------------------------------------------------------------------------
+
+# A pair kernel runs its two halves (the u and v components, or the two
+# halves of its systems) on two threads when each half holds at least this
+# many entries and the process may use more than one core.  Timed per call
+# of the three split kernels on tori (the table is in CHANGES.md), two
+# threads won the sum of the three in every run from a 144^2 half on and
+# lost in some run at 136^2 and below; handing a half over costs some
+# 45 us, and the halves trade the interpreter lock between numpy calls.
+_THREAD_NODES = 144 * 144
+
+_helper = None                    # the one-worker pool, started on first use
+_helper_lock = threading.Lock()
+_thread = threading.local()       # ``on_helper`` is true on the pool's worker
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _threaded(nodes: int) -> bool:
+    """Whether a pair kernel whose halves hold ``nodes`` entries each runs
+    them on two threads: from ``_THREAD_NODES`` entries on, with more than
+    one usable core, and never from the helper thread (its one worker would
+    wait for itself)."""
+    return (nodes >= _THREAD_NODES and not getattr(_thread, "on_helper", False)
+            and _usable_cores() > 1)
+
+
+def _mark_helper() -> None:
+    _thread.on_helper = True
+
+
+def _forget_helper() -> None:
+    """After a fork: the child has no helper thread, so it starts its own."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _helper_pool():
+    """The helper: a one-worker thread pool, started on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            # imported here, so that neither the package import nor a run
+            # that never crosses the gate loads it
+            from concurrent.futures import ThreadPoolExecutor
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="nehari-helper",
+                                         initializer=_mark_helper)
+        return _helper
+
+
+def _both(f, args0, args1, nodes: int):
+    """``(f(*args0), f(*args1))``: the first call on the helper thread when
+    ``_threaded(nodes)``, else both in turn on the calling thread.
+
+    The two calls must not write to the same memory.  The helper runs in a
+    copy of the caller's context, so numpy's error state is the caller's.
+    When both calls raise, the first call's exception propagates, as it
+    would in turn.
+    """
+    if not _threaded(nodes):
+        return f(*args0), f(*args1)
+    future = _helper_pool().submit(contextvars.copy_context().run, f, *args0)
+    try:
+        second = f(*args1)
+    except BaseException:
+        future.result()   # raises the first call's exception, if it had one
+        raise
+    return future.result(), second
+
+
 def _pair_inner(domain, a: np.ndarray, b: np.ndarray):
     """L2 inner products of pair arrays, row by row, by plain sums: the metric
-    reduction inside the program (descent residual and slopes, orbit realizer)."""
+    reduction inside the program (descent residual and slopes, orbit realizer).
+
+    It stays on one thread at every size: a product and a sum per component
+    do not pay for handing a half over (on the 256^2 torus the component
+    sums took 113-119 us on one thread and 156-167 us on two)."""
     prod = a * b
     sums = np.sum(prod, axis=tuple(range(2, prod.ndim)))
     return (sums[..., 0] + sums[..., 1]) * domain.cell_volume
@@ -298,8 +387,11 @@ def _potential_values(V, domain: DomainSpec) -> np.ndarray:
 
 
 def _schrodinger_values(a: np.ndarray, V: np.ndarray, domain: DomainSpec) -> np.ndarray:
-    """``-lap_h a + V a``: the one route every Schrodinger operator goes through."""
-    return _laplacian_values(a, domain) + V * a
+    """``-lap_h a + V a``: the one route every Schrodinger operator goes through.
+    ``V`` broadcasts against ``a``; ``V a`` is added in place."""
+    out = _laplacian_values(a, domain)
+    out += V * a
+    return out
 
 
 def schrodinger_apply(f: GridFunction, V) -> GridFunction:
@@ -313,7 +405,7 @@ def _forward_difference(a: np.ndarray, axis: int, domain: DomainSpec) -> np.ndar
     if domain.periodic:
         out = np.empty_like(a)
         b, o = a.swapaxes(0, axis), out.swapaxes(0, axis)
-        o[:-1] = b[1:] - b[:-1]
+        np.subtract(b[1:], b[:-1], out=o[:-1])
         o[-1] = b[0] - b[-1]
         return out
     return np.diff(a, axis=axis, prepend=0.0, append=0.0)
@@ -329,7 +421,9 @@ def _gradient_energy(a: np.ndarray, domain: DomainSpec):
     total = 0.0
     for axis, h in zip(axes, domain.spacing):
         d = _forward_difference(a, axis, domain)
-        total += np.sum(d * d, axis=axes) * vol / (h * h)
+        d *= d
+        total += np.sum(d, axis=axes) * vol / (h * h)
+        del d   # one difference array at a time
     return total
 
 

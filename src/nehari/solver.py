@@ -250,9 +250,10 @@ _FUZZ = 8.0 * np.finfo(float).eps
 
 
 # Node budget of one descent batch: a batch takes as many rows as fit, at
-# least one.  On the 256^2 torus a one-row descent peaks 9.2 MB above what
-# it is handed (tracemalloc) and 7.0 MB above its setup's peak RSS
-# (ru_maxrss); each further row of its batch adds 7.9 MB (tracemalloc).
+# least one.  On the 256^2 torus a one-row descent peaks 9.4 MB above what
+# it is handed with the kernels' second thread (8.8 MB on one thread;
+# tracemalloc) and 4.8-5.8 MB above its setup's peak RSS (2.7-2.8 MB;
+# ru_maxrss); each further row of its batch adds 7.5 MB (tracemalloc).
 _BATCH_NODES = 2 ** 15
 
 
