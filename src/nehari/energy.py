@@ -287,6 +287,9 @@ def grad_l2(spec: ProblemSpec, s):
     treated at once; the result has the same form.  Past the thread gate
     (``grid._threaded``) the two components are formed on two threads
     (``_grad_half``), bit for bit as the whole-array route forms them.
+    Below it the whole-array route stays: on the default box (a 2-core
+    host) the two ``_grad_half`` calls in turn took 10-27 us more per
+    call, and ``box1d-ground`` ops read 4% slower.
     """
     q, lam = spec.q, spec.lam.values
 
@@ -424,46 +427,44 @@ def _constant_shift_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarra
     the first axis of the inverse, as pocketfft does.  Axes on the dense
     route agree with it to roundoff.
 
-    On those all-FFT domains the two halves of the systems are solved on two
-    threads past the thread gate (``grid._both``); the transforms act line
-    by line, so each half comes out as inside the whole batch.  A domain
-    with a dense-route axis keeps one call: OpenBLAS threads its products
-    already, and their bits depend on the product's line count.
+    On a torus the two halves of the systems are solved on two threads past
+    the thread gate (``grid._both``, ``_torus_solve``); the transforms act
+    line by line, so each half comes out as inside the whole batch.  A box
+    keeps one call: no box workload reaches the gate, and the break-even of
+    its transforms was not measured (a DST-I is an FFT of twice the length,
+    and OpenBLAS threads the dense route's products already).
     """
-    half = len(rhs) // 2
-    nodes = rhs[:half].size
-    if half and _threaded(nodes) and (domain.periodic or not any(map(_dense_sine, domain.shape))):
-        out = np.empty(rhs.shape)
-        _both(_transform_solve, (domain, rhs[:half], shifts[:half], out[:half]),
-              (domain, rhs[half:], shifts[half:], out[half:]), nodes)
-        return out
-    return _transform_solve(domain, rhs, shifts)
-
-
-def _transform_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """``_constant_shift_solve`` of all of ``rhs`` in one pass of transforms,
-    into ``out`` when it is given."""
-    axes = _trailing_axes(rhs, domain)
-    symbol = _shift_symbol(domain) + shifts.reshape((-1,) + (1,) * domain.dimension)
     if domain.periodic:
-        # numpy takes the complex axes last to first, scipy first to last
-        coeff = rfftn(rhs, axes=axes[-2::-1] + axes[-1:])
-        coeff /= symbol
-        out = irfftn(coeff, s=domain.shape, axes=axes, norm="forward", out=out)
-        out *= _inverse_norm(domain)
-        return out
+        half = len(rhs) // 2
+        nodes = rhs[:half].size
+        if half and _threaded(nodes):
+            out = np.empty(rhs.shape)
+            _both(_torus_solve, (domain, rhs[:half], shifts[:half], out[:half]),
+                  (domain, rhs[half:], shifts[half:], out[half:]), nodes)
+            return out
+        return _torus_solve(domain, rhs, shifts)
+    axes = _trailing_axes(rhs, domain)
     coeff = rhs
     for a in axes:
         coeff = _sine_transform(coeff, a)
-    coeff /= symbol
+    coeff /= _shift_symbol(domain) + shifts.reshape((-1,) + (1,) * domain.dimension)
     scale = _inverse_norm(domain)
     for a in axes:
         coeff = _sine_transform(coeff, a, scale)
         scale = 1.0   # pocketfft scales the first axis only
-    if out is None:
-        return coeff
-    out[...] = coeff
+    return coeff
+
+
+def _torus_solve(domain: DomainSpec, rhs: np.ndarray, shifts: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """``_constant_shift_solve`` of all of ``rhs`` on a torus in one pass of
+    transforms, into ``out`` when it is given."""
+    axes = _trailing_axes(rhs, domain)
+    # numpy takes the complex axes last to first, scipy first to last
+    coeff = rfftn(rhs, axes=axes[-2::-1] + axes[-1:])
+    coeff /= _shift_symbol(domain) + shifts.reshape((-1,) + (1,) * domain.dimension)
+    out = irfftn(coeff, s=domain.shape, axes=axes, norm="forward", out=out)
+    out *= _inverse_norm(domain)
     return out
 
 
