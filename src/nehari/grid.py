@@ -474,15 +474,12 @@ def shift(f: GridFunction, z) -> GridFunction:
     return GridFunction(d, _roll_cells(f.values, z, d))
 
 
-def _cell_periods(domain: DomainSpec) -> tuple[int, ...]:
-    """Periods of the cell translation group: the torus periods, none on a box."""
-    return tuple(int(p) for p in domain.lengths) if domain.periodic else ()
-
-
 def _roll_cells(a: np.ndarray, z, domain: DomainSpec) -> np.ndarray:
     """``a`` translated on its trailing grid axes by the cell shift ``z``, as a
-    new array.  On a box the cell group is trivial and ``z == ()`` copies."""
-    nodes = tuple(int(zi) * (n // p) for zi, n, p in zip(z, domain.shape, _cell_periods(domain)))
+    new array: ``z[i]`` cells of ``domain.points_per_cell[i]`` nodes along grid
+    axis ``i``.  This is the one cell translation of the library.  On a box
+    the cell group is trivial and ``z == ()`` copies."""
+    nodes = tuple(int(zi) * m for zi, m in zip(z, domain.points_per_cell)) if len(z) else ()
     return np.roll(a, nodes, axis=_trailing_axes(a, domain)[:len(nodes)])
 
 

@@ -23,11 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import DomainSpec, GridFunction
+from .grid import DomainSpec, GridFunction, _roll_cells
 
 __all__ = [
     "Nonlinearity",
     "ProblemSpec",
+    "Symmetry",
     "CheckResult",
     "ValidationReport",
     "ValidationError",
@@ -224,19 +225,57 @@ def validate_potentials(spec: "ProblemSpec") -> ValidationReport:
         rep.add("coupling bound (V2)", False, float("-inf"),
                 detail="undefined: V1 or V2 vanishes")
 
-    if spec.domain.periodic:
-        ok = all(_unit_cell_periodic(f) for f in (spec.V1, spec.V2, spec.lam))
+    dom = spec.domain
+    if dom.periodic:
+        ok = all(np.array_equal(f.values, _roll_cells(f.values, z, dom))
+                 for f in (spec.V1, spec.V2, spec.lam) for z in np.eye(dom.dimension, dtype=int))
         rep.add("periodic fields (V3)", ok, 0.0,
                 detail="V1, V2, lambda repeat bit-exactly across unit cells")
     return rep
 
 
-def _unit_cell_periodic(f: GridFunction) -> bool:
-    a = f.values
-    for axis, m in enumerate(f.domain.points_per_cell):
-        if not np.array_equal(a, np.roll(a, m, axis=axis)):
-            return False
-    return True
+# Direction filters act on pair arrays ``(rows, 2, *shape)``: each projects
+# onto the subspace that one group element fixes (swap-symmetric) or negates.
+
+
+def _swap_sym_filter(D: np.ndarray) -> np.ndarray:
+    m = 0.5 * (D[:, 0] + D[:, 1])
+    return np.stack((m, m), axis=1)
+
+
+def _swap_anti_filter(D: np.ndarray) -> np.ndarray:
+    m = 0.5 * (D[:, 0] - D[:, 1])
+    return np.stack((m, -m), axis=1)
+
+
+def _odd_reflection_filter(axis: int):
+    def filt(D: np.ndarray) -> np.ndarray:
+        return 0.5 * (D - np.flip(D, axis=2 + axis))
+
+    return filt
+
+
+@dataclass(frozen=True)
+class Symmetry:
+    """A problem's discrete symmetry group, beyond the joint sign flip
+    ``s -> -s`` that every problem has: ``periods``, the cells per torus axis
+    (``()`` on a box); ``swap``, whether V1 and V2 are bitwise equal with
+    equal nonlinearity terms; ``mirrors``, the box axes whose flip leaves V1,
+    V2 and lambda bitwise unchanged."""
+
+    periods: tuple[int, ...]
+    swap: bool
+    mirrors: tuple[int, ...]
+
+    @cached_property
+    def filters(self) -> tuple:
+        """The direction filters, in order: swap-symmetric and
+        swap-antisymmetric when ``swap``, one odd reflection per mirror axis.
+        Searching inside such an invariant subspace reaches its constrained
+        minimizers, saddles of the full problem whose full gradient still
+        vanishes (symmetric criticality), as the reported residual certifies."""
+        swap = (_swap_sym_filter, _swap_anti_filter) if self.swap else ()
+        return swap + tuple(_odd_reflection_filter(a) for a in self.mirrors)
 
 
 @dataclass(frozen=True)
@@ -275,6 +314,19 @@ class ProblemSpec:
         pair = np.stack((self.V1.values, self.V2.values))
         pair.setflags(write=False)
         return pair
+
+    @cached_property
+    def symmetry(self) -> Symmetry:
+        """The problem's symmetry group (``Symmetry``), computed once."""
+        dom = self.domain
+        fields = (self.V1.values, self.V2.values, self.lam.values)
+        mirrors = () if dom.periodic else tuple(
+            a for a in range(dom.dimension)
+            if all(np.array_equal(f, np.flip(f, axis=a)) for f in fields))
+        return Symmetry(
+            periods=tuple(int(p) for p in dom.lengths) if dom.periodic else (),
+            swap=np.array_equal(self.V1.values, self.V2.values) and self.f1.terms == self.f2.terms,
+            mirrors=mirrors)
 
     def effective_delta(self) -> float:
         v1, v2 = self.V1.values, self.V2.values

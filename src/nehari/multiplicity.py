@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import DomainSpec, _cell_periods, _pair_inner, _roll_cells, _schrodinger_values
+from .grid import DomainSpec, _pair_inner, _roll_cells, _schrodinger_values
 from .model import ProblemSpec
 from .energy import State, _pcg_schrodinger, _ray_data, grad_l2, xi_grad_l2
 from .solver import (
@@ -330,7 +330,7 @@ def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, known: np.ndarray,
     ``(orbits, 2, *shape)``; ``applied`` optionally holds
     ``_apply_block(spec, known)``, for callers that realize the same orbits
     many times.  Each known orbit is realized over the sign
-    flip and the cell translations (none on a box).  All three quadratic
+    flip and the cell translations of ``spec.symmetry`` (none on a box).  All three quadratic
     terms of ``||s1 -+ tau_z s_k||^2`` go through the same operator route
     and accumulate in one fixed order, so quotiented copies (pure sign
     flips) give exactly zero.  Returns ``(rows, orbits)`` arrays of the
@@ -343,7 +343,7 @@ def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, known: np.ndarray,
     q2 = _apply_block(spec, known) if applied is None else applied
     n1 = _pair_inner(dom, q1, S1)
     n2 = _pair_inner(dom, q2, known)
-    periods = _cell_periods(dom)
+    periods = spec.symmetry.periods
     best_ip = np.zeros((len(S1), len(known)))
     best_z = np.zeros(best_ip.shape + (len(periods),), dtype=int)
     for z in np.ndindex(periods):
@@ -448,61 +448,6 @@ class SolutionSet:
         return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# exact discrete symmetries: restricting search directions to a bit-exactly
-# invariant subspace turns the corresponding constrained minimizers (which
-# are saddles of the full problem) into reachable targets; by the symmetric
-# criticality principle their full gradient still vanishes, which is what
-# the reported residual certifies.
-# ---------------------------------------------------------------------------
-
-
-def _swap_symmetric(spec: ProblemSpec) -> bool:
-    return (np.array_equal(spec.V1.values, spec.V2.values)
-            and spec.f1.terms == spec.f2.terms)
-
-
-def _mirror_axes(spec: ProblemSpec) -> list[int]:
-    if spec.domain.periodic:
-        return []
-    axes = []
-    for a in range(spec.domain.dimension):
-        if all(np.array_equal(f.values, np.flip(f.values, axis=a))
-               for f in (spec.V1, spec.V2, spec.lam)):
-            axes.append(a)
-    return axes
-
-
-# Direction filters act on pair arrays ``(rows, 2, *shape)``.
-
-
-def _swap_sym_filter(D: np.ndarray) -> np.ndarray:
-    m = 0.5 * (D[:, 0] + D[:, 1])
-    return np.stack((m, m), axis=1)
-
-
-def _swap_anti_filter(D: np.ndarray) -> np.ndarray:
-    m = 0.5 * (D[:, 0] - D[:, 1])
-    return np.stack((m, -m), axis=1)
-
-
-def _odd_reflection_filter(axis: int):
-    def filt(D: np.ndarray) -> np.ndarray:
-        return 0.5 * (D - np.flip(D, axis=2 + axis))
-
-    return filt
-
-
-def _symmetry_filters(spec: ProblemSpec) -> list:
-    filters = []
-    if _swap_symmetric(spec):
-        filters.append(_swap_sym_filter)
-        filters.append(_swap_anti_filter)
-    for a in _mirror_axes(spec):
-        filters.append(_odd_reflection_filter(a))
-    return filters
-
-
 class _DeflatedObjective:
     """Energy times shifted deflation factors centered at the known orbits,
     the rows of the pair array ``known``.
@@ -573,8 +518,9 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
 
     Every non-ground solution is a saddle of the constrained energy, so
     unrestricted polishing escapes it.  When the problem carries an exact
-    discrete symmetry (swap of the components, mirror reflection) the
-    search therefore adds subspace-restricted starts, whose limits are
+    discrete symmetry (``spec.symmetry``: swap of the components, mirror
+    reflection) the search therefore adds subspace-restricted starts, one
+    per direction filter of the group, whose limits are
     honest full-residual critical points.  All starts run as the rows of
     one batch: first the deflated descent, then the polish.
     """
@@ -584,9 +530,9 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
     objective = _DeflatedObjective(spec, known._orbits())
     deflate_cfg = replace(config, grad_tol=max(config.grad_tol, 1e-6))
     starts = initial_states(spec, config)
-    filters = _symmetry_filters(spec)
+    filters = spec.symmetry.filters
     inits = np.concatenate([filt(starts[:1]) for filt in filters] + [starts])
-    run_filters = filters + [None] * len(starts)
+    run_filters = list(filters) + [None] * len(starts)
     runs = np.flatnonzero(np.any(inits.reshape(len(inits), -1), axis=1))
     if runs.size < len(inits):
         inits = inits[runs]

@@ -24,7 +24,6 @@ from nehari.multiplicity import (
     SolutionSet,
     _DeflatedObjective,
     _block_eigenpairs,
-    _symmetry_filters,
     _pnorm_and_grad,
     _sphere_ascent,
     deflated_search,
@@ -506,10 +505,10 @@ def test_batched_descent_rows_match_runs_alone(seed, plain):
     spec, ground = _small_box_ground()
     cfg = SolveConfig(seed=seed, starts=plain)
     starts = initial_states(spec, cfg)
-    filters = _symmetry_filters(spec)
+    filters = spec.symmetry.filters
     assert len(filters) == 3   # swap-symmetric, swap-antisymmetric, odd reflection
     inits = np.concatenate([f(starts[:1]) for f in filters] + [starts])
-    row_filters = filters + [None] * plain
+    row_filters = list(filters) + [None] * plain
     names = list(range(len(inits)))
     stages = [(replace(cfg, grad_tol=1e-6, max_iters=40),
                _DeflatedObjective(spec, ground.pair()[None])),
