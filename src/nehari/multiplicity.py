@@ -87,14 +87,9 @@ def _block_eigenpairs(domain: DomainSpec, V: np.ndarray, k: int):
     return vals[order], vecs[:, order]
 
 
-def eigenbasis(spec: ProblemSpec, k: int) -> list[tuple[float, State]]:
-    """First ``k`` eigenpairs of ``(-lap_h + V1) (+) (-lap_h + V2)``.
-
-    Pairs are orthonormal in the block inner product and sorted by ascending
-    eigenvalue; ties resolve u-block first.  Limited to grids with at most
-    10^4 unknowns per component, and above ``_DENSE_EIGH_NODES`` nodes to
-    ``k`` below the node count.
-    """
+def _eigen_rows(spec: ProblemSpec, k: int) -> tuple[list[float], np.ndarray]:
+    """The eigenvalues and block-normalized pairs of ``eigenbasis``, the
+    pairs as the rows of one pair array ``(k, 2, *shape)``."""
     dom = spec.domain
     n = dom.size
     if n > _MAX_COMPONENT_UNKNOWNS:
@@ -108,16 +103,25 @@ def eigenbasis(spec: ProblemSpec, k: int) -> list[tuple[float, State]]:
     per_block = min(k, n)
     blocks = [_block_eigenpairs(dom, V, per_block) for V in (spec.V1.values, spec.V2.values)]
     keys = sorted((float(lam), block, j)
-                  for block, (vals, _) in enumerate(blocks) for j, lam in enumerate(vals))
-    zeros = np.zeros(dom.shape)
-    pairs = []
-    for lam, block, j in keys[:k]:
+                  for block, (vals, _) in enumerate(blocks) for j, lam in enumerate(vals))[:k]
+    rows = np.zeros((k, 2) + dom.shape)
+    for row, (lam, block, j) in zip(rows, keys):
         e = blocks[block][1][:, j].reshape(dom.shape)
         # E-normalization: ||(e,0)||^2 = lam * |e|_2h^2 for an eigenvector
-        e = e * (1.0 / np.sqrt(lam * dom.cell_volume * float(np.sum(e * e))))
-        u, v = (e, zeros) if block == 0 else (zeros, e)
-        pairs.append((lam, State.from_values(dom, u, v)))
-    return pairs
+        row[block] = e * (1.0 / np.sqrt(lam * dom.cell_volume * float(np.sum(e * e))))
+    return [lam for lam, _, _ in keys], rows
+
+
+def eigenbasis(spec: ProblemSpec, k: int) -> list[tuple[float, State]]:
+    """First ``k`` eigenpairs of ``(-lap_h + V1) (+) (-lap_h + V2)``.
+
+    Pairs are orthonormal in the block inner product and sorted by ascending
+    eigenvalue; ties resolve u-block first.  Limited to grids with at most
+    10^4 unknowns per component, and above ``_DENSE_EIGH_NODES`` nodes to
+    ``k`` below the node count.
+    """
+    lams, rows = _eigen_rows(spec, k)
+    return [(lam, State.from_pair(spec.domain, row)) for lam, row in zip(lams, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +253,14 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, seed: int = 0) -> Founta
         raise ValueError(f"k_max={k_max} plus {_TAIL_BUFFER} buffer pairs needs every eigenpair "
                          f"of a {n}-node block; above {_DENSE_EIGH_NODES} nodes the Lanczos "
                          f"eigensolver gives at most {n - 1}")
-    basis = eigenbasis(spec, min(wanted, 2 * n))
-    K = len(basis)
+    K = min(wanted, 2 * n)
+    B = _eigen_rows(spec, K)[1].reshape(K, -1)   # one (u, v) line per pair
     vol = dom.cell_volume
     p = spec.p_max
     delta = spec.effective_delta()
     c_growth = _growth_constant(spec)
     volume_omega = float(np.prod(dom.lengths))
     rng = np.random.default_rng(seed)
-
-    B = np.stack([st.pair().ravel() for _, st in basis])
 
     # beta_k from the tail down, cascading each maximizer into the next level;
     # since the spans are nested, the previous estimate is itself a valid
