@@ -31,6 +31,7 @@ from .solver import (
     SolveReport,
     _descend,
     _EnergyObjective,
+    _winner,
     find_ground_state,
     initial_states,
 )
@@ -524,7 +525,9 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
     reflection) the search therefore adds subspace-restricted starts, one
     per direction filter of the group, whose limits are
     honest full-residual critical points.  All starts run as the rows of
-    one batch: first the deflated descent, then the polish.
+    one batch: first the deflated descent, then the polish.  The fresh
+    candidate of the lowest energy wins, ties broken as in
+    ``find_ground_state`` (``_winner``).
     """
     if len(known) == 0:
         return find_ground_state(spec, config)
@@ -550,7 +553,7 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
     new = known._new_orbits(polished[converged])
     candidates = [k for k, fresh in zip(converged, new) if fresh]
     if candidates:
-        k = min(candidates, key=lambda k: (reports[k].energy, reports[k].start_index))
+        k = candidates[_winner([reports[k] for k in candidates])]
         return reports[k], State.from_pair(spec.domain, polished[k])
     k = converged[0]
     return replace(reports[k], status="collapsed"), State.from_pair(spec.domain, polished[k])

@@ -545,10 +545,19 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
             for r in reports
         )
         raise SolverStallError("no start converged:\n" + lines)
-    lowest = min(r.energy for r in converged)
-    best = next(r for r in converged if r.energy - lowest <= _FUZZ * (abs(lowest) + 1.0))
+    best = converged[_winner(converged)]
     return (replace(best, rho_estimate=min(r.rho_estimate for r in reports)),
             State.from_pair(spec.domain, final[best.start_index]))
+
+
+def _winner(reports: list[SolveReport]) -> int:
+    """Position in ``reports`` of the lowest energy: energies within the
+    Armijo slack ``_FUZZ (|E| + 1)`` of the lowest tie, since starts that
+    reach one level part by roundoff, and a tie goes to the lowest start
+    index."""
+    lowest = min(r.energy for r in reports)
+    ties = [k for k, r in enumerate(reports) if r.energy - lowest <= _FUZZ * (abs(lowest) + 1.0)]
+    return min(ties, key=lambda k: reports[k].start_index)
 
 
 _SIGN_ROUNDS = 3

@@ -12,6 +12,7 @@ from nehari.grid import DomainSpec, GridFunction, shift
 from nehari.energy import State, energy, fibering_project, nehari_xi, norm_E
 from nehari.solver import (
     SolveConfig,
+    SolveReport,
     SolverStallError,
     decay_fit,
     _ensure_nonnegative,
@@ -419,6 +420,23 @@ def test_ground_state_ties_go_to_the_first_start(monkeypatch, bounded_spec):
     assert energies.index(lowest) != 0
     assert max(energies) - lowest <= solver_module._FUZZ * (abs(lowest) + 1.0)
     assert rep.start_index == 0 and rep.energy == energies[0]
+
+
+def test_winner_ties_within_the_slack_go_to_the_lowest_start():
+    """``_winner``, the rule of ``find_ground_state`` and ``deflated_search``:
+    energies within the Armijo slack of the lowest tie, and a tie goes to
+    the lowest start index wherever its report sits; a lower level beyond
+    the slack wins outright."""
+    E = 54.069435655970409
+    ulp = np.spacing(E)
+
+    def report(energy, start):
+        return SolveReport(energy, 0.0, 0.0, 0, start, 1.0, 1.0, "converged")
+
+    reports = [report(E + 3 * ulp, 4), report(E, 2), report(E + 2 * ulp, 1), report(E + 1e-9, 0)]
+    assert solver_module._winner(reports) == 2
+    reports.append(report(E - 1e-9, 7))
+    assert solver_module._winner(reports) == 4
 
 
 def test_stall_reporting(small_bounded_spec):
