@@ -234,10 +234,6 @@ def validate_potentials(spec: "ProblemSpec") -> ValidationReport:
     return rep
 
 
-# Direction filters act on pair arrays ``(rows, 2, *shape)``: each projects
-# onto the subspace that one group element fixes (swap-symmetric) or negates.
-
-
 def _swap_sym_filter(D: np.ndarray) -> np.ndarray:
     m = 0.5 * (D[:, 0] + D[:, 1])
     return np.stack((m, m), axis=1)
@@ -249,10 +245,7 @@ def _swap_anti_filter(D: np.ndarray) -> np.ndarray:
 
 
 def _odd_reflection_filter(axis: int):
-    def filt(D: np.ndarray) -> np.ndarray:
-        return 0.5 * (D - np.flip(D, axis=2 + axis))
-
-    return filt
+    return lambda D: 0.5 * (D - np.flip(D, axis=2 + axis))
 
 
 @dataclass(frozen=True)
@@ -269,11 +262,10 @@ class Symmetry:
 
     @cached_property
     def filters(self) -> tuple:
-        """The direction filters, in order: swap-symmetric and
-        swap-antisymmetric when ``swap``, one odd reflection per mirror axis.
-        Searching inside such an invariant subspace reaches its constrained
-        minimizers, saddles of the full problem whose full gradient still
-        vanishes (symmetric criticality), as the reported residual certifies."""
+        """Direction filters on pair arrays ``(rows, 2, *shape)``: swap-symmetric
+        and swap-antisymmetric when ``swap``, then one odd reflection per mirror
+        axis.  Their invariant subspaces hold saddles of the full problem as
+        constrained minimizers, which stay critical (symmetric criticality)."""
         swap = (_swap_sym_filter, _swap_anti_filter) if self.swap else ()
         return swap + tuple(_odd_reflection_filter(a) for a in self.mirrors)
 

@@ -332,11 +332,11 @@ def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, known: np.ndarray,
     ``S1`` and ``known`` are pair arrays ``(rows, 2, *shape)`` and
     ``(orbits, 2, *shape)``; ``applied`` optionally holds
     ``_apply_block(spec, known)``, for callers that realize the same orbits
-    many times.  Each known orbit is realized over the sign
-    flip and the cell translations of ``spec.symmetry`` (none on a box).  All three quadratic
-    terms of ``||s1 -+ tau_z s_k||^2`` go through the same operator route
-    and accumulate in one fixed order, so quotiented copies (pure sign
-    flips) give exactly zero.  Returns ``(rows, orbits)`` arrays of the
+    many times.  Each known orbit is realized over the sign flip and the
+    cell translations of ``spec.symmetry`` (none on a box).  All three
+    quadratic terms of ``||s1 -+ tau_z s_k||^2`` go through the same
+    operator route and accumulate in one fixed order, so quotiented copies
+    (pure sign flips) give exactly zero.  Returns ``(rows, orbits)`` arrays of the
     distance, the realizing sign, ``|<(-lap+V) tau_z s_k, s1>|`` and the
     cell shift ``z`` (one more trailing axis), and the squared block norms
     ``<(-lap+V) s, s>`` of the rows and of the known orbits.
@@ -523,8 +523,8 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
     unrestricted polishing escapes it.  When the problem carries an exact
     discrete symmetry (``spec.symmetry``: swap of the components, mirror
     reflection) the search therefore adds subspace-restricted starts, one
-    per direction filter of the group, whose limits are
-    honest full-residual critical points.  All starts run as the rows of
+    per direction filter, whose limits are honest full-residual critical
+    points.  All starts run as the rows of
     one batch: first the deflated descent, then the polish.  The fresh
     candidate of the lowest energy wins, ties broken as in
     ``find_ground_state`` (``_winner``).
@@ -539,8 +539,7 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
     inits = np.concatenate([filt(starts[:1]) for filt in filters] + [starts])
     run_filters = list(filters) + [None] * len(starts)
     runs = np.flatnonzero(np.any(inits.reshape(len(inits), -1), axis=1))
-    if runs.size < len(inits):
-        inits = inits[runs]
+    inits = inits[runs]
     run_filters = [run_filters[i] for i in runs]
     names = runs.tolist()
 

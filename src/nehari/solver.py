@@ -551,13 +551,12 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
 
 
 def _winner(reports: list[SolveReport]) -> int:
-    """Position in ``reports`` of the lowest energy: energies within the
-    Armijo slack ``_FUZZ (|E| + 1)`` of the lowest tie, since starts that
-    reach one level part by roundoff, and a tie goes to the lowest start
-    index."""
+    """Position of the winner in ``reports``, given in ascending start order:
+    the first energy within the Armijo slack ``_FUZZ (|E| + 1)`` of the
+    lowest, since starts that reach one level part by roundoff."""
     lowest = min(r.energy for r in reports)
-    ties = [k for k, r in enumerate(reports) if r.energy - lowest <= _FUZZ * (abs(lowest) + 1.0)]
-    return min(ties, key=lambda k: reports[k].start_index)
+    slack = _FUZZ * (abs(lowest) + 1.0)
+    return next(k for k, r in enumerate(reports) if r.energy - lowest <= slack)
 
 
 _SIGN_ROUNDS = 3
@@ -598,10 +597,8 @@ def recenter(s: State) -> tuple[State, tuple[int, ...]]:
     if not dom.periodic:
         raise ValueError("recenter requires a periodic domain")
     _, center = local_mass_sup(s.u, s.v, _recenter_radius(dom))
-    ppc = dom.points_per_cell
-    z = tuple(
-        int(np.rint((n // 2 - c) / m)) for n, c, m in zip(dom.shape, center, ppc)
-    )
+    z = tuple(int(np.rint((n // 2 - c) / m))
+              for n, c, m in zip(dom.shape, center, dom.points_per_cell))
     return State(shift(s.u, z), shift(s.v, z)), z
 
 

@@ -424,8 +424,8 @@ def test_ground_state_ties_go_to_the_first_start(monkeypatch, bounded_spec):
 
 def test_winner_ties_within_the_slack_go_to_the_lowest_start():
     """``_winner``, the rule of ``find_ground_state`` and ``deflated_search``:
-    energies within the Armijo slack of the lowest tie, and a tie goes to
-    the lowest start index wherever its report sits; a lower level beyond
+    of reports in ascending start order, energies within the Armijo slack of
+    the lowest tie, and a tie goes to the first start; a lower level beyond
     the slack wins outright."""
     E = 54.069435655970409
     ulp = np.spacing(E)
@@ -433,8 +433,8 @@ def test_winner_ties_within_the_slack_go_to_the_lowest_start():
     def report(energy, start):
         return SolveReport(energy, 0.0, 0.0, 0, start, 1.0, 1.0, "converged")
 
-    reports = [report(E + 3 * ulp, 4), report(E, 2), report(E + 2 * ulp, 1), report(E + 1e-9, 0)]
-    assert solver_module._winner(reports) == 2
+    reports = [report(E + 1e-9, 0), report(E + 3 * ulp, 2), report(E, 4), report(E + 2 * ulp, 5)]
+    assert solver_module._winner(reports) == 1
     reports.append(report(E - 1e-9, 7))
     assert solver_module._winner(reports) == 4
 
