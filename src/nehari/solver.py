@@ -597,8 +597,10 @@ def recenter(s: State) -> tuple[State, tuple[int, ...]]:
     if not dom.periodic:
         raise ValueError("recenter requires a periodic domain")
     _, center = local_mass_sup(s.u, s.v, _recenter_radius(dom))
-    z = tuple(int(np.rint((n // 2 - c) / m))
-              for n, c, m in zip(dom.shape, center, dom.points_per_cell))
+    ppc = dom.points_per_cell
+    z = tuple(
+        int(np.rint((n // 2 - c) / m)) for n, c, m in zip(dom.shape, center, ppc)
+    )
     return State(shift(s.u, z), shift(s.v, z)), z
 
 
