@@ -269,14 +269,16 @@ def _pair_kernel(spec: ProblemSpec, s, kernel):
     return State.from_pair(spec.domain, kernel(np.stack(_state_values(spec, s))[None])[0])
 
 
-def _grad_half(spec: ProblemSpec, S: np.ndarray, c: int, G: np.ndarray) -> None:
-    """Component ``c`` of ``grad_l2``'s kernel on the pair array ``S``,
-    written into ``G[:, c]``: the operations of the whole-array route on
-    that component, in its order."""
-    s, nl = S[:, c], (spec.f1, spec.f2)[c]
-    g = np.subtract(_schrodinger_values(s, spec.potential_pair[c], spec.domain),
-                    spec.lam.values * S[:, 1 - c], out=G[:, c])
-    g -= nl.f(s)
+def _grad_part(spec: ProblemSpec, S: np.ndarray, comps: slice, G: np.ndarray) -> None:
+    """``grad_l2``'s kernel on the components ``comps`` (a slice of the
+    pair) of the pair array ``S``, written into ``G[:, comps]``.  Every
+    operation acts entry by entry, so a component comes out the same bits
+    whichever slice holds it."""
+    s, g = S[:, comps], G[:, comps]
+    np.subtract(_schrodinger_values(s, spec.potential_pair[comps], spec.domain),
+                spec.lam.values * S[:, ::-1][:, comps], out=g)
+    for c in range(2)[comps]:
+        G[:, c] -= (spec.f1, spec.f2)[c].f(S[:, c])
     g += np.abs(s) ** (spec.q - 2.0) * s
 
 
@@ -284,25 +286,19 @@ def grad_l2(spec: ProblemSpec, s):
     """L2 representative of ``J'(s)``: the pair of strong-form residual fields.
 
     ``s`` is a state, or a pair array ``(rows, 2, *shape)`` whose rows are
-    treated at once; the result has the same form.  Past the thread gate
-    (``grid._threaded``) the two components are formed on two threads
-    (``_grad_half``), bit for bit as the whole-array route forms them.
-    Below it the whole-array route stays: on the default box (a 2-core
-    host) the two ``_grad_half`` calls in turn took 10-27 us more per
-    call, and ``box1d-ground`` ops read 4% slower.
+    treated at once; the result has the same form.  ``_grad_part`` forms
+    the field: on the whole pair in one call below the thread gate
+    (``grid._threaded``; on the default box, a 2-core host, the two halves
+    in turn read 4% slower per ``box1d-ground`` op), one component per
+    thread past it.
     """
-    q, lam = spec.q, spec.lam.values
-
     def kernel(S):
+        G = np.empty(S.shape)
         nodes = S.size // 2
         if _threaded(nodes):
-            G = np.empty(S.shape)
-            _both(_grad_half, (spec, S, 0, G), (spec, S, 1, G), nodes)
-            return G
-        G = _schrodinger_values(S, spec.potential_pair, spec.domain) - lam * S[:, ::-1]
-        for c, nl in enumerate((spec.f1, spec.f2)):
-            G[:, c] -= nl.f(S[:, c])
-        G += np.abs(S) ** (q - 2.0) * S
+            _both(_grad_part, (spec, S, slice(0, 1), G), (spec, S, slice(1, 2), G), nodes)
+        else:
+            _grad_part(spec, S, slice(None), G)
         return G
 
     return _pair_kernel(spec, s, kernel)

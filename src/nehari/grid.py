@@ -377,8 +377,6 @@ def laplacian_apply(f: GridFunction) -> GridFunction:
 
 
 def _potential_values(V, domain: DomainSpec) -> np.ndarray:
-    if V is None:
-        return np.zeros(domain.shape)
     if isinstance(V, GridFunction):
         if V.domain != domain:
             raise ValueError("potential lives on a different domain")
@@ -395,7 +393,7 @@ def _schrodinger_values(a: np.ndarray, V: np.ndarray, domain: DomainSpec) -> np.
 
 
 def schrodinger_apply(f: GridFunction, V) -> GridFunction:
-    """Apply ``-lap_h + V`` to ``f`` (``V`` a grid function, scalar or None)."""
+    """Apply ``-lap_h + V`` to ``f`` (``V`` a grid function or a scalar)."""
     Va = _potential_values(V, f.domain)
     return GridFunction(f.domain, _schrodinger_values(f.values, Va, f.domain))
 

@@ -258,8 +258,8 @@ _BATCH_NODES = 2 ** 15
 
 
 def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective,
-             start_index: list[int], filters: list | None = None,
-             trace: list | None = None) -> tuple[list[SolveReport], np.ndarray]:
+             start_index: list[int],
+             filters: list | None = None) -> tuple[list[SolveReport], np.ndarray]:
     """Armijo-backtracking projected descent with fibering retraction and
     spectral first steps.
 
@@ -270,10 +270,9 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
     leaves the batch when it stops.  ``filters`` optionally gives each row a
     projection of its search directions onto an exactly invariant subspace
     (symmetry-restricted search), or ``None``; the reported residual always
-    measures the full, unfiltered gradient.  ``trace`` optionally gives each
-    row a list that collects its accepted objective values.  Each point is
-    evaluated once: the objective reads its value from the projection that
-    produced the point, and the norm and xi-slope come from its moments.
+    measures the full, unfiltered gradient.  Each point is evaluated once:
+    the objective reads its value from the projection that produced the
+    point, and the norm and xi-slope come from its moments.
     Each row's backtracking starts at its spectral step (``_spectral_steps``)
     against the objective's Armijo slope (``objective.slope``); an accepted
     trial overwrites its row, and the row stalls when no step moving its
@@ -291,7 +290,7 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
     batch = max(1, _BATCH_NODES // (2 * dom.size))
     if n_rows > batch:
         parts = [_descend(spec, config, init[i:i + batch], objective, start_index[i:i + batch],
-                          filters and filters[i:i + batch], trace and trace[i:i + batch])
+                          filters and filters[i:i + batch])
                  for i in range(0, n_rows, batch)]
         return [r for reps, _ in parts for r in reps], np.concatenate([f for _, f in parts])
     status = ["max_iters"] * n_rows
@@ -318,9 +317,6 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
         return not idx.size
 
     for it in range(config.max_iters + 1):
-        if trace is not None:
-            for row, value in zip(idx, pts.value.tolist()):
-                trace[row].append(value)
         G = objective.grad(pts)
         nrm = np.sqrt(pts.moments.norm_sq)
         rho[idx] = np.minimum(rho[idx], nrm)
@@ -410,8 +406,7 @@ def _descend(spec: ProblemSpec, config: SolveConfig, init: np.ndarray, objective
 
 
 def minimize_on_nehari(spec: ProblemSpec, config: SolveConfig, init: State,
-                       start_index: int = 0,
-                       trace: list | None = None) -> tuple[SolveReport, State]:
+                       start_index: int = 0) -> tuple[SolveReport, State]:
     """Minimize the energy over the Nehari manifold from one initial state.
 
     The initial state is projected onto the manifold; each iteration takes
@@ -424,7 +419,7 @@ def minimize_on_nehari(spec: ProblemSpec, config: SolveConfig, init: State,
     if init.is_zero():
         raise ValueError("initial state must be nonzero")
     (report,), final = _descend(spec, config, init.pair()[None], _EnergyObjective(spec),
-                                [start_index], trace=None if trace is None else [trace])
+                                [start_index])
     return report, State.from_pair(spec.domain, final[0])
 
 

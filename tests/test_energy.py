@@ -119,16 +119,42 @@ def test_coercive_form_no_coupling():
     assert np.isclose(coercive_form(spec, s), norm_E(spec, s) ** 2, rtol=1e-14)
 
 
-def test_coercive_bound_random_states(bounded_spec, bounded_2d_spec, periodic_spec_1d):
-    """||s||^2 - 2 int lam u v >= (1 - delta) ||s||^2 within quadrature slack."""
-    rng = np.random.default_rng(3)
-    for spec in (bounded_spec, bounded_2d_spec, periodic_spec_1d):
-        delta = spec.effective_delta()
-        for _ in range(50):
-            s = random_state(spec, rng)
-            lhs = coercive_form(spec, s)
-            rhs = (1.0 - delta) * norm_E(spec, s) ** 2
-            assert lhs >= rhs - 1e-9 * max(abs(lhs), abs(rhs))
+@st.composite
+def _coupled_problems(draw):
+    """A constant-coefficient problem on a small box or torus whose coupling
+    is a drawn fraction of its bound ``delta sqrt(V1 V2)``."""
+    dom = draw(st.sampled_from([
+        DomainSpec.dirichlet_box(1.0, 17), DomainSpec.dirichlet_box((1.0, 2.0), (6, 9)),
+        DomainSpec.periodic_torus([3], 5), DomainSpec.periodic_torus([2, 2], 4)]))
+    V1, V2 = draw(st.floats(0.05, 20.0)), draw(st.floats(0.05, 20.0))
+    delta = draw(st.floats(0.01, 0.99))
+    lam = draw(st.floats(0.0, 1.0)) * delta * math.sqrt(V1 * V2)
+    return make_spec(dom, V1=V1, V2=V2, lam=lam, delta=delta)
+
+
+_SPEC_FIXTURES = ["bounded_spec", "bounded_2d_spec", "periodic_spec_1d"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=st.sampled_from(_SPEC_FIXTURES) | _coupled_problems(),
+       seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(1e-3, 1e3),
+       mix=st.floats(-2.0, 2.0), noise=st.floats(0.0, 1.0))
+@example(problem="bounded_spec", seed=3, amplitude=1.0, mix=0.0, noise=1.0)
+@example(problem="bounded_2d_spec", seed=3, amplitude=1.0, mix=0.0, noise=1.0)
+@example(problem="periodic_spec_1d", seed=3, amplitude=1.0, mix=0.0, noise=1.0)
+def test_coercive_bound_random_states(request, problem, seed, amplitude, mix, noise):
+    """||s||^2 - 2 int lam u v >= (1 - delta) ||s||^2 within quadrature slack,
+    on the fixtures (named) and on drawn problems.  ``v = mix u + noise w``
+    reaches aligned components, where the coupling term is largest."""
+    spec = request.getfixturevalue(problem) if isinstance(problem, str) else problem
+    rng = np.random.default_rng(seed)
+    u = amplitude * rng.standard_normal(spec.domain.shape)
+    v = mix * u + noise * amplitude * rng.standard_normal(spec.domain.shape)
+    s = State.from_values(spec.domain, u, v)
+    delta = spec.effective_delta()
+    lhs = coercive_form(spec, s)
+    rhs = (1.0 - delta) * norm_E(spec, s) ** 2
+    assert lhs >= rhs - 1e-9 * max(abs(lhs), abs(rhs))
 
 
 def test_coercive_equality_configuration():
@@ -327,15 +353,24 @@ def test_fibering_rejects_zero(bounded_spec):
         fibering_project(bounded_spec, z)
 
 
-def test_fibering_slope_single_sign_change(bounded_spec):
-    rng = np.random.default_rng(14)
-    for _ in range(10):
-        s = random_state(bounded_spec, rng)
-        rep, _ = fibering_project(bounded_spec, s)
-        ts = rep.t_star * np.geomspace(1e-4, 4.0, 2000)
-        signs = np.sign([fibering_slope(bounded_spec, s, t) for t in ts])
-        changes = np.sum(np.diff(signs[signs != 0]) != 0)
-        assert changes == 1
+@pytest.mark.parametrize("fixture", _SPEC_FIXTURES)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(1e-2, 1e2),
+       support=st.sampled_from(["both", "u", "v"]))
+@example(seed=14, amplitude=1.0, support="both")
+def test_fibering_slope_single_sign_change(request, fixture, seed, amplitude, support):
+    """phi' changes sign exactly once on ``t* [1e-4, 4]``, for drawn states."""
+    spec = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(seed)
+    dom = spec.domain
+    u = amplitude * rng.standard_normal(dom.shape) * (support != "v")
+    v = amplitude * rng.standard_normal(dom.shape) * (support != "u")
+    rep, _ = fibering_project(spec, State.from_values(dom, u, v))
+    ts = rep.t_star * np.geomspace(1e-4, 4.0, 2000)
+    # the closed form fibering_slope evaluates, at every t at once
+    signs = np.sign(_ray_data(spec, u, v).phi_prime(ts))
+    changes = np.sum(np.diff(signs[signs != 0]) != 0)
+    assert changes == 1
 
 
 def test_fibering_nehari_form_agrees_on_manifold(bounded_spec):
@@ -732,6 +767,20 @@ def test_varying_potentials_still_iterate(domain, varying):
     x, iterations = _pcg_schrodinger(domain, V, b)
     assert iterations > 0
     _assert_pcg_contract(domain, V, b, x)
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.dirichlet_box(1.0, 64),
+                                    DomainSpec.periodic_torus([4], 16)])
+def test_zero_right_hand_sides_of_varying_potentials_need_no_iteration(domain):
+    """Systems whose potential varies and whose right-hand side is zero leave
+    nothing to iterate: they come back as zeros, the constant-potential
+    systems beside them as their shift solves, in 0 iterations."""
+    V = np.stack([np.ones(domain.shape), _cosine_potential(domain)])
+    b = np.random.default_rng(6).standard_normal((3, 2) + domain.shape)
+    b[:, 1] = 0.0
+    x, iterations = _pcg_schrodinger(domain, V, b)
+    assert iterations == 0 and x.shape == b.shape and not x[:, 1].any()
+    assert x[:, 0].tobytes() == _constant_shift_solve(domain, b[:, 0], np.ones(3)).tobytes()
 
 
 def test_default_box_preconditions_without_the_stencil(monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nehari.grid import DomainSpec, GridFunction
 from nehari.model import (
@@ -68,21 +69,29 @@ def test_validate_supercritical_3d():
     assert validate_nonlinearity(Nonlinearity(((1.0, 7.0),)), 3.0, dimension=2).passed
 
 
-def test_scalar_inequalities_on_random_families():
+@st.composite
+def _valid_families(draw):
+    """``(q, f)``: ``q`` in [2.1, 3.5] and a nonlinearity of one to three
+    terms, coefficients in [0.1, 5] and exponents 0.2 to 2 above ``q``."""
+    q = draw(st.floats(2.1, 3.5))
+    term = st.tuples(st.floats(0.1, 5.0), st.floats(0.2, 2.0).map(lambda d: q + d))
+    return q, Nonlinearity(tuple(draw(st.lists(term, min_size=1, max_size=3))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=_valid_families())
+@example(family=(3.0, Nonlinearity(((1.0, 4.0),))))                # the default f = |s|^2 s
+@example(family=(2.5, Nonlinearity(((1.0, 3.5), (0.5, 4.5)))))    # the 2D fixture's f1
+@example(family=(2.5, Nonlinearity(((1.0, 4.0),))))                # and its f2
+def test_scalar_inequalities_on_random_families(family):
     """AR chain and the superlinear-slope inequality hold with positive margin."""
-    rng = np.random.default_rng(7)
+    q, nl = family
     s = np.geomspace(1e-6, 1e6, 200)
-    for _ in range(20):
-        q = rng.uniform(2.1, 3.5)
-        terms = tuple(
-            (rng.uniform(0.1, 5.0), q + rng.uniform(0.2, 2.0)) for _ in range(rng.integers(1, 4))
-        )
-        nl = Nonlinearity(terms)
-        assert validate_nonlinearity(nl, q).passed
-        fs = nl.f_times_s(s)
-        assert np.all(q * nl.F(s) <= fs)
-        assert np.all(q * nl.F(s) >= 0)
-        assert np.all(nl.f_prime(s) * s * s - fs > (q - 2.0) * fs)
+    assert validate_nonlinearity(nl, q).passed
+    fs = nl.f_times_s(s)
+    assert np.all(q * nl.F(s) <= fs)
+    assert np.all(q * nl.F(s) >= 0)
+    assert np.all(nl.f_prime(s) * s * s - fs > (q - 2.0) * fs)
 
 
 def test_potentials_validation():

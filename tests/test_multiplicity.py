@@ -96,12 +96,22 @@ def test_eigenbasis_above_the_dense_limit_repeats_bitwise():
     assert np.array_equal(vals1, vals2) and np.array_equal(vecs1, vecs2)
 
 
-def test_eigenbasis_guards(small_bounded_spec):
+def test_eigenbasis_guards(small_bounded_spec, monkeypatch):
+    import scipy.sparse.linalg
+
+    def no_lanczos(*args, **kwargs):
+        raise AssertionError("eigsh was called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_lanczos)
     with pytest.raises(ValueError):
         eigenbasis(small_bounded_spec, 1000)   # more than 2n pairs
     big = make_spec(DomainSpec.dirichlet_box((1.0, 1.0), (128, 128)))
     with pytest.raises(ValueError):
         eigenbasis(big, 4)
+    # above 2500 nodes Lanczos gives fewer pairs than nodes: rejected before any Lanczos work
+    lanczos = make_spec(DomainSpec.dirichlet_box((1.0, 1.0), (51, 51)))
+    with pytest.raises(ValueError, match="k=2601 needs every eigenpair of a 2601-node block"):
+        eigenbasis(lanczos, 2601)
 
 
 def test_orbit_distance_quotients(periodic_spec_1d):

@@ -69,11 +69,19 @@ def test_critical_init_stops_immediately(small_bounded_spec):
     assert rep2.grad_residual <= cfg.grad_tol
 
 
-def test_energy_monotone_along_descent(small_bounded_spec):
+def test_energy_monotone_along_descent(small_bounded_spec, monkeypatch):
+    # the descent takes one gradient per iterate, at its accepted point
     trace = []
+    real = solver_module._EnergyObjective.grad
+
+    def recording(self, pts):
+        trace.extend(pts.value.tolist())
+        return real(self, pts)
+
+    monkeypatch.setattr(solver_module._EnergyObjective, "grad", recording)
     init = State.from_pair(small_bounded_spec.domain,
                           initial_states(small_bounded_spec, SolveConfig(seed=1))[0])
-    rep, _ = minimize_on_nehari(small_bounded_spec, SolveConfig(seed=1), init, trace=trace)
+    rep, _ = minimize_on_nehari(small_bounded_spec, SolveConfig(seed=1), init)
     assert rep.status == "converged"
     trace = np.asarray(trace)
     fuzz = 8 * np.finfo(float).eps * (np.abs(trace[:-1]) + 1.0)
