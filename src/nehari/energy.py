@@ -269,17 +269,18 @@ def _pair_kernel(spec: ProblemSpec, s, kernel):
     return State.from_pair(spec.domain, kernel(np.stack(_state_values(spec, s))[None])[0])
 
 
-def _grad_part(spec: ProblemSpec, S: np.ndarray, comps: slice, G: np.ndarray) -> None:
+def _grad_part(spec: ProblemSpec, S: np.ndarray, comps: slice, out=None) -> np.ndarray:
     """``grad_l2``'s kernel on the components ``comps`` (a slice of the
-    pair) of the pair array ``S``, written into ``G[:, comps]``.  Every
-    operation acts entry by entry, so a component comes out the same bits
-    whichever slice holds it."""
-    s, g = S[:, comps], G[:, comps]
-    np.subtract(_schrodinger_values(s, spec.potential_pair[comps], spec.domain),
-                spec.lam.values * S[:, ::-1][:, comps], out=g)
-    for c in range(2)[comps]:
-        G[:, c] -= (spec.f1, spec.f2)[c].f(S[:, c])
+    pair) of the pair array ``S``, written into ``out`` when it is given.
+    Every operation acts entry by entry, so a component comes out the same
+    bits whichever slice holds it."""
+    s = S[:, comps]
+    g = np.subtract(_schrodinger_values(s, spec.potential_pair[comps], spec.domain),
+                    spec.lam.values * S[:, ::-1][:, comps], out=out)
+    for k, c in enumerate(range(2)[comps]):
+        g[:, k] -= (spec.f1, spec.f2)[c].f(S[:, c])
     g += np.abs(s) ** (spec.q - 2.0) * s
+    return g
 
 
 def grad_l2(spec: ProblemSpec, s):
@@ -293,12 +294,11 @@ def grad_l2(spec: ProblemSpec, s):
     thread past it.
     """
     def kernel(S):
-        G = np.empty(S.shape)
         nodes = S.size // 2
-        if _threaded(nodes):
-            _both(_grad_part, (spec, S, slice(0, 1), G), (spec, S, slice(1, 2), G), nodes)
-        else:
-            _grad_part(spec, S, slice(None), G)
+        if not _threaded(nodes):
+            return _grad_part(spec, S, slice(None))
+        G = np.empty(S.shape)
+        _both(_grad_part, (spec, S, slice(0, 1), G[:, :1]), (spec, S, slice(1, 2), G[:, 1:]), nodes)
         return G
 
     return _pair_kernel(spec, s, kernel)
