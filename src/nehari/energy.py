@@ -296,6 +296,8 @@ def grad_l2(spec: ProblemSpec, s):
     def kernel(S):
         nodes = S.size // 2
         if not _threaded(nodes):
+            # the subtraction allocates the result: an output allocated before
+            # the stencil's temporaries cost 35% more per call (64^2 torus, 3 rows)
             return _grad_part(spec, S, slice(None))
         G = np.empty(S.shape)
         _both(_grad_part, (spec, S, slice(0, 1), G[:, :1]), (spec, S, slice(1, 2), G[:, 1:]), nodes)

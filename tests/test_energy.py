@@ -353,14 +353,14 @@ def test_fibering_rejects_zero(bounded_spec):
         fibering_project(bounded_spec, z)
 
 
-@pytest.mark.parametrize("fixture", _SPEC_FIXTURES)
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(1e-2, 1e2),
-       support=st.sampled_from(["both", "u", "v"]))
-@example(seed=14, amplitude=1.0, support="both")
-def test_fibering_slope_single_sign_change(request, fixture, seed, amplitude, support):
-    """phi' changes sign exactly once on ``t* [1e-4, 4]``, for drawn states."""
-    spec = request.getfixturevalue(fixture)
+@settings(max_examples=200, deadline=None)
+@given(problem=st.sampled_from(_SPEC_FIXTURES), seed=st.integers(0, 2 ** 32 - 1),
+       amplitude=st.floats(1e-2, 1e2), support=st.sampled_from(["both", "u", "v"]))
+@example(problem="bounded_spec", seed=14, amplitude=1.0, support="both")
+def test_fibering_slope_single_sign_change(request, problem, seed, amplitude, support):
+    """phi' changes sign exactly once on ``t* [1e-4, 4]``, for drawn states
+    on the fixtures."""
+    spec = request.getfixturevalue(problem)
     rng = np.random.default_rng(seed)
     dom = spec.domain
     u = amplitude * rng.standard_normal(dom.shape) * (support != "v")
