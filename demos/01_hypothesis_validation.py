@@ -29,7 +29,7 @@ dom = spec.domain
 too_strong = ProblemSpec(
     domain=dom, q=3.0, f1=spec.f1, f2=spec.f2,
     V1=spec.V1, V2=spec.V2,
-    lam=GridFunction.constant(dom, 1.2), delta=0.9,
+    lam=GridFunction.constant(dom, 1.2),
 )
 for check in validate_potentials(too_strong).failures():
     print("  " + check.format_line())

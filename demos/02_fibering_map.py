@@ -25,7 +25,7 @@ dom = DomainSpec.dirichlet_box(1.0, n)
 one = GridFunction.constant(dom, 1.0)
 nl = Nonlinearity(((1.0, 4.0),))
 spec = ProblemSpec(domain=dom, q=3.0, f1=nl, f2=nl, V1=one, V2=one,
-                   lam=GridFunction.constant(dom, 0.0), delta=0.3)
+                   lam=GridFunction.constant(dom, 0.0))
 
 x = dom.axis_coordinates(0)
 s = State(GridFunction(dom, np.sin(np.pi * x)), GridFunction.constant(dom, 0.0))

@@ -26,7 +26,7 @@ dom = DomainSpec.periodic_torus([24], 16)
 one = GridFunction.constant(dom, 1.0)
 nl = Nonlinearity(((1.0, 4.0),))
 spec = ProblemSpec(domain=dom, q=3.0, f1=nl, f2=nl, V1=one, V2=one,
-                   lam=GridFunction.constant(dom, 0.3), delta=0.3)
+                   lam=GridFunction.constant(dom, 0.3))
 
 report, s = find_ground_state(spec, SolveConfig(starts=3, seed=2, max_iters=800))
 print("1D torus, period 24, 16 nodes per unit cell:")

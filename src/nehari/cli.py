@@ -64,7 +64,6 @@ class RunConfig:
     lengths: tuple[float, ...] = (1.0,)
     resolution: tuple[int, ...] = (256,)
     q: float = 3.0
-    delta: float = 0.3
     f1: tuple[tuple[float, float], ...] = ((1.0, 4.0),)
     f2: tuple[tuple[float, float], ...] = ((1.0, 4.0),)
     v1: str = "1.0"
@@ -78,7 +77,6 @@ class RunConfig:
     starts: int = 5
     seed: int = 0
     target_count: int = 3
-    collapse_budget: int = 6
     k_max: int = 30
     # [output]
     out_dir: str = "out"
@@ -146,7 +144,6 @@ _CONFIG_SCHEMA = (
     ("problem", "lengths", "lengths", _as_floats, _joined),
     ("problem", "resolution", "resolution", _as_ints, _joined),
     ("problem", "q", "q", float, str),
-    ("problem", "delta", "delta", float, str),
     ("problem", "f1", "f1", _parse_terms, _emit_terms),
     ("problem", "f2", "f2", _parse_terms, _emit_terms),
     ("problem", "v1", "v1", _as_expr, _quoted),
@@ -159,7 +156,6 @@ _CONFIG_SCHEMA = (
     ("solve", "starts", "starts", int, str),
     ("solve", "seed", "seed", int, str),
     ("solve", "target_count", "target_count", int, str),
-    ("solve", "collapse_budget", "collapse_budget", int, str),
     ("solve", "k_max", "k_max", int, str),
     ("output", "out_dir", "out_dir", str, str),
     ("output", "label", "label", str, str),
@@ -167,8 +163,9 @@ _CONFIG_SCHEMA = (
 _SECTIONS = ("problem", "solve", "output")
 
 # Keys of removed settings, with their parse and the one value older configs carry.
-_RETIRED_KEYS = (("solve", "armijo_c1", float, 1e-4), ("solve", "armijo_backtrack", float, 0.5),
-                 ("solve", "recenter_every", int, 0))
+_RETIRED_KEYS = (("problem", "delta", float, 0.3), ("solve", "armijo_c1", float, 1e-4),
+                 ("solve", "armijo_backtrack", float, 0.5), ("solve", "recenter_every", int, 0),
+                 ("solve", "collapse_budget", int, 6))
 
 
 def parse_config(text: str, command: str = "validate") -> RunConfig:
@@ -298,7 +295,7 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
     return ProblemSpec(
         domain=domain, q=cfg.q,
         f1=Nonlinearity(cfg.f1), f2=Nonlinearity(cfg.f2),
-        V1=v1, V2=v2, lam=lam, delta=cfg.delta,
+        V1=v1, V2=v2, lam=lam,
     )
 
 
@@ -357,8 +354,7 @@ def _cmd_ground(cfg, spec, out: Path) -> int:
 
 
 def _cmd_multiplicity(cfg, spec, out: Path) -> int:
-    sols = find_distinct_solutions(spec, cfg.solve_config(), cfg.target_count,
-                                   cfg.collapse_budget)
+    sols = find_distinct_solutions(spec, cfg.solve_config(), cfg.target_count)
     names = []
     for i, (s, rep) in enumerate(sols.entries):
         label = f"{cfg.label}_sol{i:02d}"

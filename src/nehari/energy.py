@@ -614,32 +614,36 @@ def fibering_slope_nehari_form(spec: ProblemSpec, s: State, t: float) -> float:
     return float(fsum + (t ** (rd.q - 1.0) - t) * rd.mq)
 
 
-_BRACKET_LIMIT = 2.0 ** 60
 _FIBERING_RTOL = 1e-12   # the relative step that ends the t* Newton of a projection
+
+
+def _in_float_range(rd: _RayData, t: float) -> bool:
+    """Whether ``t**p_max`` is nonzero and ``phi``, ``phi'`` are finite at ``t``,
+    about ``2**(+-1000/p_max)`` for unit moments; ``rd`` holds Python floats."""
+    try:
+        return t ** max(rd.exps) > 0.0 and math.isfinite(rd.phi(t)) \
+            and math.isfinite(rd.phi_prime(t))
+    except OverflowError:
+        return False
 
 
 def _project_ray(rd: _RayData) -> tuple[float, tuple[float, float], int]:
     """Unique positive root of ``phi'`` by bracketing plus safeguarded Newton.
 
-    ``rd`` holds the moments of one state, as Python floats.  Newton starts
-    at ``t = 1`` when the bracket holds it, else at the bracket midpoint.
+    ``rd`` holds the moments of one state, as Python floats.  The bracket
+    doubles or halves from ``t = 1`` while its new end is ``_in_float_range``.
+    Newton starts at ``t = 1`` when the bracket holds it, else at its midpoint.
     """
     psi1 = rd.psi(1.0)
     if psi1 == 0.0:
         return 1.0, (0.5, 2.0), 0
-    if psi1 > 0.0:
-        lo, hi = 1.0, 2.0
-        while rd.psi(hi) > 0.0:
-            lo, hi = hi, hi * 2.0
-            if hi > _BRACKET_LIMIT:
-                raise RuntimeError("fibering bracket failure: phi' has no sign change")
-    else:
-        hi = 1.0
-        lo = 0.5
-        while rd.psi(lo) < 0.0:
-            hi, lo = lo, lo * 0.5
-            if lo < 1.0 / _BRACKET_LIMIT:
-                raise RuntimeError("fibering bracket failure: phi' has no sign change")
+    sign = 1.0 if psi1 > 0.0 else -1.0   # double while psi > 0, halve while psi < 0
+    near, far = 1.0, 2.0 ** sign
+    while sign * rd.psi(far) > 0.0:
+        near, far = far, far * 2.0 ** sign
+        if not _in_float_range(rd, far):
+            raise RuntimeError("fibering bracket failure: phi' has no sign change")
+    lo, hi = min(near, far), max(near, far)
     bracket = (lo, hi)
 
     # descent trial points sit next to the manifold, where t* is near 1

@@ -13,7 +13,9 @@ constraints, and the two key scalar inequalities
     q F(s) <= f(s) s              (Ambrosetti-Rabinowitz type)
     f'(s) s^2 - f(s) s > (q-2) f(s) s     (superlinearity of f/|s|^(q-1))
 
-are additionally verified numerically on a log-spaced sample.
+are additionally verified numerically on a log-spaced sample.  The coupling
+bound is measured, not asserted: ``delta_min = max lambda / sqrt(V1 V2)`` over
+the sampled fields is the smallest ``delta`` with ``lambda <= delta sqrt(V1 V2)``.
 """
 
 from __future__ import annotations
@@ -198,11 +200,11 @@ def validate_nonlinearity(nl: Nonlinearity, q: float, dimension: int | None = No
 def validate_potentials(spec: "ProblemSpec") -> ValidationReport:
     """Check positivity/boundedness of the potentials and the coupling bound.
 
-    Computes ``delta_min = max_x lambda / sqrt(V1 V2)`` and passes iff
-    ``delta_min < 1`` with ``lambda >= 0`` and ``min V_i > 0``.  On periodic
-    domains the sampled fields must additionally repeat bit-exactly across
-    unit cells.  The report records ``max(delta_min, user delta)`` as the
-    effective coupling bound used by the coercivity estimates.
+    Reads ``delta_min = max_x lambda / sqrt(V1 V2)`` (``spec.coupling_bound``)
+    and passes iff ``delta_min < 1`` with ``lambda >= 0`` and ``min V_i > 0``.
+    On periodic domains the sampled fields must additionally repeat bit-exactly
+    across unit cells.  The report records ``delta_min`` as the effective
+    coupling bound used by the coercivity estimates.
     """
     rep = ValidationReport()
     v1, v2, lam = spec.V1.values, spec.V2.values, spec.lam.values
@@ -214,13 +216,10 @@ def validate_potentials(spec: "ProblemSpec") -> ValidationReport:
     rep.add("coupling nonnegative (V2)", lam_min >= 0, lam_min)
 
     if vmin > 0:
-        ratio = lam / np.sqrt(v1 * v2)
-        delta_min = float(ratio.max())
-        i = int(np.argmax(ratio))
-        witness = str(tuple(int(k) for k in np.unravel_index(i, ratio.shape)))
+        delta_min, node = spec.coupling_bound
         rep.add("coupling bound (V2)", delta_min < 1, 1.0 - delta_min,
-                witness=f"node {witness}", detail=f"delta_min={delta_min:.6g}")
-        rep.effective_delta = max(delta_min, spec.delta)
+                witness=f"node {node}", detail=f"delta_min={delta_min:.6g}")
+        rep.effective_delta = delta_min
     else:
         rep.add("coupling bound (V2)", False, float("-inf"),
                 detail="undefined: V1 or V2 vanishes")
@@ -274,8 +273,8 @@ class Symmetry:
 class ProblemSpec:
     """Full problem data: exponents, nonlinearities, potentials, coupling.
 
-    ``delta`` is the user-asserted coupling bound in (0,1); validation may
-    raise it to the measured ``delta_min`` of the sampled fields.
+    The coupling bound ``delta`` is not part of the data: it is measured from
+    the sampled fields (``coupling_bound``).
     """
 
     domain: DomainSpec
@@ -285,11 +284,8 @@ class ProblemSpec:
     V1: GridFunction
     V2: GridFunction
     lam: GridFunction
-    delta: float
 
     def __post_init__(self):
-        if not (0 < self.delta < 1):
-            raise ValueError("delta must lie in (0, 1)")
         if self.q <= 2:
             raise ValueError("q must exceed 2")
         for g in (self.V1, self.V2, self.lam):
@@ -320,10 +316,14 @@ class ProblemSpec:
             swap=np.array_equal(self.V1.values, self.V2.values) and self.f1.terms == self.f2.terms,
             mirrors=mirrors)
 
-    def effective_delta(self) -> float:
-        v1, v2 = self.V1.values, self.V2.values
-        ratio = self.lam.values / np.sqrt(v1 * v2)
-        return max(float(ratio.max()), self.delta)
+    @cached_property
+    def coupling_bound(self) -> tuple[float, tuple[int, ...]]:
+        """``(delta_min, node)``: ``delta_min = max lambda / sqrt(V1 V2)``, the
+        smallest coupling bound the sampled fields satisfy, and the first node
+        (row-major) that attains it.  Meaningful only for positive V1, V2."""
+        ratio = self.lam.values / np.sqrt(self.V1.values * self.V2.values)
+        i = int(np.argmax(ratio))
+        return float(ratio.flat[i]), tuple(int(k) for k in np.unravel_index(i, ratio.shape))
 
 
 def validate_problem(spec: ProblemSpec) -> ValidationReport:

@@ -51,6 +51,7 @@ _DENSE_EIGH_NODES = 2500      # larger blocks take shift-invert Lanczos
 _DISTINCT_FACTOR = 1e-4       # orbit-distance threshold relative to state norms
 _LEVEL_GAP_FACTOR = 1e-6      # minimal relative gap between stored energy levels
 _DEFLATION_SIGMA = 1.0
+_COLLAPSE_BUDGET = 6          # fruitless deflation attempts that end a multiplicity search
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def fountain_diagnostics(spec: ProblemSpec, k_max: int, seed: int = 0) -> Founta
     B = _eigen_rows(spec, K)[1].reshape(K, -1)   # one (u, v) line per pair
     vol = dom.cell_volume
     p = spec.p_max
-    delta = spec.effective_delta()
+    delta, _ = spec.coupling_bound
     c_growth = _growth_constant(spec)
     volume_omega = float(np.prod(dom.lengths))
     rng = np.random.default_rng(seed)
@@ -559,27 +560,24 @@ def deflated_search(spec: ProblemSpec, config: SolveConfig,
 
 
 def find_distinct_solutions(spec: ProblemSpec, config: SolveConfig,
-                            target_count: int,
-                            collapse_budget: int = 6) -> SolutionSet:
+                            target_count: int) -> SolutionSet:
     """Collect distinct solutions by repeated deflation.
 
     Starts from the ground state and keeps deflating until ``target_count``
-    solutions are stored or ``collapse_budget`` fruitless attempts occur.
+    solutions are stored or ``_COLLAPSE_BUDGET`` fruitless attempts occur.
     Finding a same-level twin orbit counts as progress (it joins the
     deflation set), not as a collapse.  Each attempt draws fresh starts
     from a derived seed, deterministically.
     """
     if target_count < 1:
         raise ValueError(f"target_count must be at least 1, got {target_count}")
-    if collapse_budget < 0:
-        raise ValueError(f"collapse_budget must be nonnegative, got {collapse_budget}")
     solutions = SolutionSet(spec)
     rep, state = find_ground_state(spec, config)
     solutions.add(state, rep)
     collapses = 0
     attempt = 0
-    max_attempts = collapse_budget + 2 * target_count + 4
-    while len(solutions) < target_count and collapses < collapse_budget \
+    max_attempts = _COLLAPSE_BUDGET + 2 * target_count + 4
+    while len(solutions) < target_count and collapses < _COLLAPSE_BUDGET \
             and attempt < max_attempts:
         attempt += 1
         cfg = replace(config, seed=config.seed + 1000003 * attempt)

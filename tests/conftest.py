@@ -8,7 +8,7 @@ from nehari.model import Nonlinearity, ProblemSpec
 
 
 def make_spec(domain, q=3.0, f1=((1.0, 4.0),), f2=((1.0, 4.0),),
-              V1=1.0, V2=1.0, lam=0.3, delta=0.3):
+              V1=1.0, V2=1.0, lam=0.3):
     """Assemble a ProblemSpec from constants or callables."""
     def field(data):
         if callable(data):
@@ -18,7 +18,7 @@ def make_spec(domain, q=3.0, f1=((1.0, 4.0),), f2=((1.0, 4.0),),
     return ProblemSpec(
         domain=domain, q=q,
         f1=Nonlinearity(f1), f2=Nonlinearity(f2),
-        V1=field(V1), V2=field(V2), lam=field(lam), delta=delta,
+        V1=field(V1), V2=field(V2), lam=field(lam),
     )
 
 
@@ -43,7 +43,6 @@ def bounded_2d_spec():
         V1=lambda x, y: 1.0 + 0.5 * np.sin(np.pi * x) * y,
         V2=2.0,
         lam=lambda x, y: 0.4 * np.sqrt(2.0 * (1.0 + 0.5 * np.sin(np.pi * x) * y)),
-        delta=0.4,
     )
 
 

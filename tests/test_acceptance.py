@@ -64,7 +64,7 @@ def test_c1_hypothesis_gate():
     assert not low.passed
     assert any("F4" in c.name for c in low.failures())
 
-    strong = make_spec(spec.domain, lam=1.2, delta=0.9)
+    strong = make_spec(spec.domain, lam=1.2)
     bad = validate_potentials(strong)
     assert not bad.passed
     assert any("V2" in c.name for c in bad.failures())
@@ -79,7 +79,7 @@ def test_c2_inequality_suite(bounded_spec, bounded_2d_spec, periodic_spec_1d):
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     for spec in (bounded_spec, bounded_2d_spec, periodic_spec_1d):
-        delta = spec.effective_delta()
+        delta, _ = spec.coupling_bound
         q = spec.q
         vol = spec.domain.cell_volume
         for _ in range(1000):

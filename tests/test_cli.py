@@ -61,11 +61,11 @@ _WORDS = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_siz
 # a strategy for every field the config schema reads and writes
 _CONFIG_FIELDS = {
     "kind": st.sampled_from(["dirichlet_box", "periodic_torus"]),
-    "q": _FLOATS, "delta": _FLOATS, "f1": _TERMS, "f2": _TERMS,
+    "q": _FLOATS, "f1": _TERMS, "f2": _TERMS,
     "v1": _EXPRESSIONS, "v2": _EXPRESSIONS, "lam": _EXPRESSIONS,
     "init_u": st.none() | _EXPRESSIONS, "init_v": st.none() | _EXPRESSIONS,
     "max_iters": _INTS, "grad_tol": _FLOATS, "starts": _INTS, "seed": _INTS,
-    "target_count": _INTS, "collapse_budget": _INTS,
+    "target_count": _INTS,
     "k_max": _INTS, "out_dir": _WORDS, "label": _WORDS,
 }
 
@@ -118,7 +118,6 @@ kind = dirichlet_box
 lengths = 1.0
 resolution = 256
 q = 3.0
-delta = 0.3
 f1 = 1.0:4.0
 f2 = 1.0:4.0
 v1 = "1.0"
@@ -131,7 +130,6 @@ grad_tol = 1e-08
 starts = 5
 seed = 0
 target_count = 3
-collapse_budget = 6
 k_max = 30
 
 [output]
@@ -356,6 +354,18 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert "coupling bound (V2)" in out and "FAIL" in out
 
 
+def test_validate_reports_the_measured_coupling_bound(tmp_path, capsys):
+    """The effective delta is the measured ``max lambda / sqrt(V1 V2)``, here
+    0.5, whatever a config used to assert."""
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text('[problem]\nresolution = 64\nv1 = "1.0"\nv2 = "1.0"\nlambda = "0.5"\n')
+    assert main(["validate", "--config", str(cfg_file), "--out", str(tmp_path),
+                 "--label", "c"]) == 0
+    line = "effective delta                0.5\n"
+    assert line in capsys.readouterr().out
+    assert line in (tmp_path / "c_validate.txt").read_text()
+
+
 def test_module_entry_point_runs_quietly(tmp_path):
     """``python -m nehari.cli`` exits 0 with nothing on stderr: importing the
     package leaves ``nehari.cli`` unimported, and the package still
@@ -464,10 +474,12 @@ def test_multiplicity_manifest(tmp_path):
     assert (out / "m_sol00_u.grid").exists()
 
 
-def test_multiplicity_shortfall_is_reported(tmp_path, capsys):
+def test_multiplicity_shortfall_is_reported(tmp_path, capsys, monkeypatch):
     """Fewer solutions than ``target_count`` (the 64-node box yields 4 before
-    one fruitless attempt ends the search) exit 0 and say so on stdout and in
-    the manifest, on a line that does not start with a digit."""
+    one fruitless attempt, the budget set here, ends the search) exit 0 and
+    say so on stdout and in the manifest, on a line that does not start with
+    a digit."""
+    monkeypatch.setattr(sys.modules["nehari.multiplicity"], "_COLLAPSE_BUDGET", 1)
     cfg_file = tmp_path / "short.cfg"
     cfg_file.write_text("""
 [problem]
@@ -477,7 +489,6 @@ resolution = 64
 
 [solve]
 target_count = 6
-collapse_budget = 1
 """)
     out = tmp_path / "out"
     assert main(["multiplicity", "--config", str(cfg_file), "--out", str(out),
@@ -564,6 +575,16 @@ def test_decay_on_the_96_node_default_torus(tmp_path):
                  "--label", "d"]) == 0
     status = (tmp_path / "d_report.txt").read_text().splitlines()[0]
     assert status.split() == ["status", "=", "converged"]
+
+
+def test_ground_far_out_on_the_ray_converges(tmp_path, capsys):
+    """Exponents just above 2 put the fibering root of a random start near
+    t = 1e20: the bracket doubles as far as the float range allows, and the
+    default box converges."""
+    cfg_file = tmp_path / "near2.cfg"
+    cfg_file.write_text("[problem]\nq = 2.1\nf1 = 0.1:2.3\nf2 = 0.1:2.3\n")
+    assert main(["ground", "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("ground state: energy = 3.776")
 
 
 def test_stall_exit_code(tmp_path):
@@ -701,6 +722,12 @@ def test_unparsable_value_exit_code(tmp_path, capsys, section, setting):
     ("[solve]\nseed = 1\narmijo_backtrack = 0.25\n",
      "line 3: bad value for 'armijo_backtrack' in section [solve]: the key is retired; "
      "only 0.5 is accepted"),
+    ("[problem]\nq = 3\ndelta = 0.5\n",
+     "line 3: bad value for 'delta' in section [problem]: the key is retired; "
+     "only 0.3 is accepted"),
+    ("[solve]\ncollapse_budget = 2\n",
+     "line 2: bad value for 'collapse_budget' in section [solve]: the key is retired; "
+     "only 6 is accepted"),
     ("[problem]\nlengths = 1.0, 2.0\n",
      "line 2: 'lengths' and 'resolution' in section [problem] must have the same "
      "number of axes ('lengths' has 2, 'resolution' has 1)"),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from nehari.energy import (
     _DENSE_SINE_NODES,
     _PCG_RTOL,
     State,
+    _RayData,
     _constant_shift_solve,
     _pcg_schrodinger,
     _precondition,
@@ -129,7 +131,7 @@ def _coupled_problems(draw):
     V1, V2 = draw(st.floats(0.05, 20.0)), draw(st.floats(0.05, 20.0))
     delta = draw(st.floats(0.01, 0.99))
     lam = draw(st.floats(0.0, 1.0)) * delta * math.sqrt(V1 * V2)
-    return make_spec(dom, V1=V1, V2=V2, lam=lam, delta=delta)
+    return make_spec(dom, V1=V1, V2=V2, lam=lam)
 
 
 _SPEC_FIXTURES = ["bounded_spec", "bounded_2d_spec", "periodic_spec_1d"]
@@ -151,7 +153,7 @@ def test_coercive_bound_random_states(request, problem, seed, amplitude, mix, no
     u = amplitude * rng.standard_normal(spec.domain.shape)
     v = mix * u + noise * amplitude * rng.standard_normal(spec.domain.shape)
     s = State.from_values(spec.domain, u, v)
-    delta = spec.effective_delta()
+    delta, _ = spec.coupling_bound
     lhs = coercive_form(spec, s)
     rhs = (1.0 - delta) * norm_E(spec, s) ** 2
     assert lhs >= rhs - 1e-9 * max(abs(lhs), abs(rhs))
@@ -161,7 +163,7 @@ def test_coercive_equality_configuration():
     """u = v with lam = delta V is the tight case of the coupling bound."""
     dom = DomainSpec.dirichlet_box(1.0, 64)
     delta = 0.6
-    spec = make_spec(dom, lam=delta, delta=delta)
+    spec = make_spec(dom, lam=delta)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(dom.shape)
     s = State.from_values(dom, u, u.copy())
@@ -353,14 +355,34 @@ def test_fibering_rejects_zero(bounded_spec):
         fibering_project(bounded_spec, z)
 
 
+@st.composite
+def _near_two_powers(draw):
+    """``q`` in (2.01, 3) and one or two terms ``a |s|^(p-2) s`` with
+    ``p - q`` in (0.05, 1) and ``a`` in (0.1, 10).  Near 2 the fibering root
+    of a unit-scale state lies far out on the ray, about ``a**(-1/(p-q))``,
+    which these ranges keep near 1e20 or below."""
+    q = 2.0 + 10.0 ** draw(st.floats(-2.0, 0.0))
+    terms = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(math.log10(0.05), 0.0)),
+                          min_size=1, max_size=2))
+    return q, tuple((10.0 ** a, q + 10.0 ** gap) for a, gap in terms)
+
+
 @settings(max_examples=200, deadline=None)
 @given(problem=st.sampled_from(_SPEC_FIXTURES), seed=st.integers(0, 2 ** 32 - 1),
-       amplitude=st.floats(1e-2, 1e2), support=st.sampled_from(["both", "u", "v"]))
-@example(problem="bounded_spec", seed=14, amplitude=1.0, support="both")
-def test_fibering_slope_single_sign_change(request, problem, seed, amplitude, support):
+       amplitude=st.floats(1e-2, 1e2), support=st.sampled_from(["both", "u", "v"]),
+       powers=st.none() | _near_two_powers())
+@example(problem="bounded_spec", seed=14, amplitude=1.0, support="both", powers=None)
+@example(problem="bounded_spec", seed=0, amplitude=0.0117, support="both",
+         powers=(2.1, ((0.25, 2.35),)))
+def test_fibering_slope_single_sign_change(request, problem, seed, amplitude, support,
+                                           powers):
     """phi' changes sign exactly once on ``t* [1e-4, 4]``, for drawn states
-    on the fixtures."""
+    on the fixtures, with their own powers or with drawn ``q`` and terms
+    (``powers``, the same nonlinearity for both components)."""
     spec = request.getfixturevalue(problem)
+    if powers is not None:
+        q, terms = powers
+        spec = replace(spec, q=q, f1=Nonlinearity(terms), f2=Nonlinearity(terms))
     rng = np.random.default_rng(seed)
     dom = spec.domain
     u = amplitude * rng.standard_normal(dom.shape) * (support != "v")
@@ -386,7 +408,7 @@ def test_manifold_inequality_and_ground_bound(bounded_spec, bounded_2d_spec):
     """On-manifold: int |u|^q+|v|^q < int f u and J >= (1/2-1/q)(1-delta)||s||^2."""
     rng = np.random.default_rng(16)
     for spec in (bounded_spec, bounded_2d_spec):
-        delta = spec.effective_delta()
+        delta, _ = spec.coupling_bound
         vol = spec.domain.cell_volume
         for _ in range(20):
             _, s = fibering_project(spec, random_state(spec, rng))
@@ -477,6 +499,18 @@ def test_projection_rejects_a_root_below_its_bracket(bounded_spec, monkeypatch):
     force_undominated_root(monkeypatch)
     with pytest.raises(RuntimeError, match="fibering maximizer does not dominate its bracket"):
         fibering_project(bounded_spec, S)
+
+
+@pytest.mark.parametrize("moments, q, p", [
+    ((1.0, 0.0, 1.0, 1e-10), 2.01, 2.02),   # the root lies near t = 1e1000
+    ((1.0, 1.0, 1.0, 1.0), 3.0, 4.0),        # ||s||^2 < 2 int lam u v: phi' < 0 for all t
+])
+def test_bracket_ends_at_the_float_range(moments, q, p):
+    """A ray whose ``phi'`` changes sign only past the float range, or never,
+    is a one-line bracket failure, not an endless loop or an overflow."""
+    rd = _RayData(np.array(moments), (p,), (1.0 / p,), q)
+    with pytest.raises(RuntimeError, match="^fibering bracket failure: phi' has no sign change$"):
+        _project_ray(rd)
 
 
 @settings(max_examples=50, deadline=None)
@@ -829,7 +863,7 @@ def _pair_problem(domain, seed, rows, varying):
                    zip(varying, (rng.uniform(0.5, 4.0), rng.uniform(0.5, 4.0), rng.uniform(-1.0, 1.0))))
     spec = ProblemSpec(domain=domain, q=rng.uniform(2.2, 3.8),
                        f1=Nonlinearity(((1.0, 4.0), (0.5, 3.5))), f2=Nonlinearity(((0.7, 4.5),)),
-                       V1=V1, V2=V2, lam=lam, delta=0.5)
+                       V1=V1, V2=V2, lam=lam)
     scales = rng.uniform(1e-2, 1e2, (rows, 2) + (1,) * domain.dimension)
     return spec, rng.standard_normal((rows, 2) + domain.shape) * scales
 
@@ -911,7 +945,7 @@ from nehari import (DomainSpec, GridFunction, Nonlinearity, ProblemSpec,
 def spec(domain):
     one, f = GridFunction.constant(domain, 1.0), Nonlinearity(((1.0, 4.0),))
     return ProblemSpec(domain=domain, q=3.0, f1=f, f2=f, V1=one, V2=one,
-                       lam=GridFunction.constant(domain, 0.3), delta=0.3)
+                       lam=GridFunction.constant(domain, 0.3))
 
 box = spec(DomainSpec.dirichlet_box(1.0, 64))
 for problem in (box, spec(DomainSpec.periodic_torus([4], 8))):

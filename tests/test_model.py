@@ -101,15 +101,15 @@ def test_potentials_validation():
     assert rep.passed
     assert np.isclose(rep.effective_delta, 0.5)
 
-    bad = make_spec(dom, lam=1.2, delta=0.9)
+    bad = make_spec(dom, lam=1.2)
     rep = validate_potentials(bad)
     assert not rep.passed
     assert any("V2" in c.name for c in rep.failures())
 
-    mixed = make_spec(dom, V1=4.0, V2=1.0, lam=1.0, delta=0.6)
+    mixed = make_spec(dom, V1=4.0, V2=1.0, lam=1.0)
     rep = validate_potentials(mixed)
     assert rep.passed
-    assert np.isclose(rep.effective_delta, 0.6)   # max(0.5 measured, 0.6 user)
+    assert rep.effective_delta == 0.5   # measured: 1 / sqrt(4 * 1)
 
 
 def test_periodic_fields_must_tile():
@@ -120,7 +120,7 @@ def test_periodic_fields_must_tile():
     spec = ProblemSpec(domain=dom, q=3.0,
                        f1=Nonlinearity(((1.0, 4.0),)), f2=Nonlinearity(((1.0, 4.0),)),
                        V1=bad_field, V2=GridFunction.constant(dom, 1.0),
-                       lam=GridFunction.constant(dom, 0.0), delta=0.3)
+                       lam=GridFunction.constant(dom, 0.0))
     rep = validate_potentials(spec)
     assert any("V3" in c.name for c in rep.failures())
 
@@ -152,7 +152,5 @@ def test_radius_closed_forms(terms, q, expected):
 
 def test_problem_spec_guards():
     dom = DomainSpec.dirichlet_box(1.0, 8)
-    with pytest.raises(ValueError):
-        make_spec(dom, delta=1.5)
     with pytest.raises(ValueError):
         make_spec(dom, q=2.0)

@@ -172,7 +172,7 @@ def test_fountain_diagnostics_small(small_bounded_spec):
 
     # independent recomputation of the closed formulas from beta
     p = spec.p_max
-    delta = spec.effective_delta()
+    delta, _ = spec.coupling_bound
     c_tilde = max(sum(a for a, _ in nl.terms) for nl in (spec.f1, spec.f2))
     vol_omega = float(np.prod(spec.domain.lengths))
     for b, r, bl in zip(rep.beta, rep.r, rep.b_lower):
@@ -395,10 +395,10 @@ def test_find_distinct_solutions_full(bounded_spec):
     assert manifest.startswith("index,energy")
 
 
-def test_collapse_budget_terminates(small_bounded_spec):
+def test_collapse_budget_terminates(monkeypatch, small_bounded_spec):
+    monkeypatch.setattr(multiplicity_module, "_COLLAPSE_BUDGET", 2)
     cfg = SolveConfig(seed=7, starts=2, max_iters=300)
-    sols = find_distinct_solutions(small_bounded_spec, cfg,
-                                   target_count=50, collapse_budget=2)
+    sols = find_distinct_solutions(small_bounded_spec, cfg, target_count=50)
     assert len(sols) < 50   # budget exhausted without hanging
 
 
@@ -413,8 +413,9 @@ def test_failed_deflated_search_counts_as_a_collapse(monkeypatch, small_bounded_
         raise RuntimeError("no start converged")
 
     monkeypatch.setattr(multiplicity_module, "deflated_search", failing)
+    monkeypatch.setattr(multiplicity_module, "_COLLAPSE_BUDGET", 2)
     cfg = SolveConfig(seed=7, starts=2)
-    sols = find_distinct_solutions(small_bounded_spec, cfg, target_count=3, collapse_budget=2)
+    sols = find_distinct_solutions(small_bounded_spec, cfg, target_count=3)
     assert len(attempts) == 2 and len(set(attempts)) == 2
     assert len(sols) == 1
     assert sols.entries[0][1].energy == find_ground_state(small_bounded_spec, cfg)[0].energy

@@ -98,7 +98,7 @@ def test_manifold_iterate_invariants(small_bounded_spec):
     assert abs(nehari_xi(small_bounded_spec, s)) <= 1e-10 * rep.norm ** 2
     assert rep.rho_estimate > 0
     assert rep.norm >= rep.rho_estimate
-    delta = small_bounded_spec.effective_delta()
+    delta, _ = small_bounded_spec.coupling_bound
     q = small_bounded_spec.q
     bound = (0.5 - 1.0 / q) * (1.0 - delta) * rep.norm ** 2
     assert rep.energy >= bound - 1e-9 * max(abs(rep.energy), bound)
@@ -146,7 +146,7 @@ def test_coupling_lowers_energy():
     """Ground energy is nonincreasing in the coupling strength."""
     energies = []
     for lam in (0.0, 0.2, 0.4):
-        spec = make_spec(DomainSpec.dirichlet_box(1.0, 96), lam=lam, delta=0.5)
+        spec = make_spec(DomainSpec.dirichlet_box(1.0, 96), lam=lam)
         rep, _ = find_ground_state(spec, SolveConfig(seed=6, starts=3))
         energies.append(rep.energy)
     assert energies[0] >= energies[1] - 1e-10
@@ -342,7 +342,7 @@ def test_halved_takes_the_fine_fields_at_its_nodes(dim, m, periods, k, seed):
     nodes = (slice(None, None, 2 ** k),) * dim
     for name in ("V1", "V2", "lam"):
         assert getattr(coarse, name).values.tobytes() == getattr(spec, name).values[nodes].tobytes()
-    assert (coarse.q, coarse.f1, coarse.f2, coarse.delta) == (spec.q, spec.f1, spec.f2, spec.delta)
+    assert (coarse.q, coarse.f1, coarse.f2) == (spec.q, spec.f1, spec.f2)
 
 
 @settings(max_examples=12, deadline=None)

@@ -89,7 +89,7 @@ def _cases(draw):
                   for _ in range(draw(st.integers(1, 2))))
     spec = ProblemSpec(domain, q, Nonlinearity(terms), Nonlinearity(((1.0, q + 1.0),)),
                        _field(domain, rng, 1.0), _field(domain, rng, 2.0),
-                       _field(domain, rng, 0.1), 0.9)
+                       _field(domain, rng, 0.1))
     rows = draw(st.integers(0, 4))
     S = rng.standard_normal(((rows, 2) if rows else (1, 2)) + domain.shape)
     return spec, S, rows
