@@ -19,13 +19,13 @@ print("Default bounded problem: f(s) = |s|^2 s, q = 3, lambda = 0.3\n")
 report = validate_problem(spec)
 print(report.format_text())
 
+dom = spec.domain
 print("A nonlinearity growing slower than |s|^(q-2) s is rejected:")
-bad = validate_nonlinearity(Nonlinearity(((1.0, 2.5),)), q=3.0)
+bad = validate_nonlinearity(Nonlinearity(((1.0, 2.5),)), q=3.0, dimension=dom.dimension)
 for check in bad.failures():
     print("  " + check.format_line())
 
 print("\nA coupling above sqrt(V1 V2) breaks coercivity and is rejected:")
-dom = spec.domain
 too_strong = ProblemSpec(
     domain=dom, q=3.0, f1=spec.f1, f2=spec.f2,
     V1=spec.V1, V2=spec.V2,

@@ -32,7 +32,7 @@ import numpy as np
 from .grid import DomainError, DomainSpec, GridFunction, _format_record, \
     grid_function_to_csv, save_grid_function
 from .model import Nonlinearity, ProblemSpec, ValidationError, validate_problem
-from .energy import State, _ray_data, _state_values, energy, fibering_project
+from .energy import State, _ray_data, _state_pair, energy, fibering_project
 from .solver import SolveConfig, SolverStallError, _recenter_radius, decay_fit, \
     find_ground_state, initial_states, recenter
 from .multiplicity import find_distinct_solutions, fountain_diagnostics
@@ -267,9 +267,7 @@ def _sample_expression(domain: DomainSpec, text: str, name: str, tile: bool) -> 
     ast = parse_expr(text)
 
     def fn(*mesh):
-        env = {f"x{a + 1}": mesh[a] for a in range(len(mesh))}
-        return np.broadcast_to(np.asarray(eval_expr(ast, env), dtype=float),
-                               mesh[0].shape).copy()
+        return eval_expr(ast, {f"x{a + 1}": mesh[a] for a in range(len(mesh))})
 
     if tile and domain.periodic:
         rng = np.random.default_rng(12345)
@@ -380,7 +378,7 @@ def _cmd_fountain(cfg, spec, out: Path) -> int:
 def _cmd_fibering(cfg, spec, out: Path) -> int:
     s = _initial_state(cfg, spec)
     rep, _ = fibering_project(spec, s)
-    ray = _ray_data(spec, *_state_values(spec, s))
+    ray = _ray_data(spec, *_state_pair(spec, s))
     lines = ["t,phi,dphi"]
     for t in (rep.t_star * np.geomspace(0.01, 4.0, 200)).tolist():
         lines.append(f"{t:.17g},{ray.phi(t):.17g},{ray.phi_prime(t):.17g}")

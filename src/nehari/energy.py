@@ -34,6 +34,7 @@ from .grid import (
     _csum,
     _format_record,
     _gradient_energy,
+    _require_same_domain,
     _schrodinger_values,
     _threaded,
     _trailing_axes,
@@ -61,14 +62,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class State:
-    """A pair of grid functions on a common domain."""
+    """A pair of grid functions on a common domain, owning copies of their
+    values.  Every function that takes a problem spec reads a state through
+    ``_state_pair``, which rejects one from another domain of the same shape."""
 
     u: GridFunction
     v: GridFunction
 
     def __post_init__(self):
-        if self.u.domain != self.v.domain:
-            raise ValueError("state components live on different domains")
+        _require_same_domain(self.u, self.v)
 
     @property
     def domain(self) -> DomainSpec:
@@ -230,21 +232,22 @@ def _ray_data(spec: ProblemSpec, u: np.ndarray, v: np.ndarray) -> _RayData:
     return _RayData(np.stack(columns, axis=-1), exps, tuple(1.0 / p for p in exps), spec.q)
 
 
-def _state_values(spec: ProblemSpec, s: State) -> tuple[np.ndarray, np.ndarray]:
-    """The components of a state argument, which must live on the problem domain."""
+def _state_pair(spec: ProblemSpec, s: State) -> np.ndarray:
+    """The ``(2, *shape)`` pair array of a state argument, which must live on
+    the problem domain: the one way a spec-aware function reads a state."""
     if s.domain != spec.domain:
         raise ValueError("state does not live on the problem domain")
-    return s.u.values, s.v.values
+    return s.pair()
 
 
 def energy(spec: ProblemSpec, s: State) -> EnergyBreakdown:
     """Evaluate the energy with its four quadrature parts."""
-    return _ray_data(spec, *_state_values(spec, s)).breakdown()
+    return _ray_data(spec, *_state_pair(spec, s)).breakdown()
 
 
 def coercive_form(spec: ProblemSpec, s: State) -> float:
     """``||s||^2 - 2 int lam u v``; at least ``(1-delta) ||s||^2`` for valid data."""
-    return float(_ray_data(spec, *_state_values(spec, s)).a2)
+    return float(_ray_data(spec, *_state_pair(spec, s)).a2)
 
 
 def norm_E(spec: ProblemSpec, s: State) -> float:
@@ -256,7 +259,7 @@ def e_inner(spec: ProblemSpec, s1: State, s2: State) -> float:
     """Block inner product ``<(-lap_h + V) s1, s2>_h``, ``V = (V1, V2)``, no
     coupling term: one pairing of the pair arrays, summed in sorted order."""
     dom = spec.domain
-    S1, S2 = np.stack(_state_values(spec, s1)), np.stack(_state_values(spec, s2))
+    S1, S2 = _state_pair(spec, s1), _state_pair(spec, s2)
     return _csum(_schrodinger_values(S1, spec.potential_pair, dom) * S2) * dom.cell_volume
 
 
@@ -266,7 +269,7 @@ def _pair_kernel(spec: ProblemSpec, s, kernel):
     array, and then the result comes back as a state."""
     if not isinstance(s, State):
         return kernel(s)
-    return State.from_pair(spec.domain, kernel(np.stack(_state_values(spec, s))[None])[0])
+    return State.from_pair(spec.domain, kernel(_state_pair(spec, s)[None])[0])
 
 
 def _grad_part(spec: ProblemSpec, S: np.ndarray, comps: slice, out=None) -> np.ndarray:
@@ -283,7 +286,7 @@ def _grad_part(spec: ProblemSpec, S: np.ndarray, comps: slice, out=None) -> np.n
     return g
 
 
-def grad_l2(spec: ProblemSpec, s):
+def grad_l2(spec: ProblemSpec, s: State | np.ndarray):
     """L2 representative of ``J'(s)``: the pair of strong-form residual fields.
 
     ``s`` is a state, or a pair array ``(rows, 2, *shape)`` whose rows are
@@ -551,8 +554,8 @@ def grad_precond(spec: ProblemSpec, s: State, g: State | None = None) -> State:
     gradients to relative residual 1e-10.  Pass ``g`` to reuse an already
     computed L2 gradient.
     """
-    S = np.stack(_state_values(spec, s))[None]
-    G = grad_l2(spec, S) if g is None else np.stack(_state_values(spec, g))[None]
+    S = _state_pair(spec, s)[None]
+    G = grad_l2(spec, S) if g is None else _state_pair(spec, g)[None]
     return State.from_pair(spec.domain, _precondition(spec, G)[0])
 
 
@@ -563,15 +566,15 @@ def grad_precond(spec: ProblemSpec, s: State, g: State | None = None) -> State:
 
 def nehari_xi(spec: ProblemSpec, s: State) -> float:
     """The constraint functional ``xi(s) = J'(s)(s)``."""
-    return float(_ray_data(spec, *_state_values(spec, s)).xi())
+    return float(_ray_data(spec, *_state_pair(spec, s)).xi())
 
 
 def nehari_xi_slope(spec: ProblemSpec, s: State) -> float:
     """Radial slope ``xi'(s)(s)``; strictly negative on the manifold."""
-    return float(_ray_data(spec, *_state_values(spec, s)).xi_slope())
+    return float(_ray_data(spec, *_state_pair(spec, s)).xi_slope())
 
 
-def xi_grad_l2(spec: ProblemSpec, s):
+def xi_grad_l2(spec: ProblemSpec, s: State | np.ndarray):
     """L2 representative of ``xi'(s)``, so ``xi'(s)(d) = <xi_grad_l2(s), d>_h``.
 
     Needed to project search directions onto the manifold tangent space when
@@ -594,12 +597,12 @@ def xi_grad_l2(spec: ProblemSpec, s):
 
 def fibering_value(spec: ProblemSpec, s: State, t: float) -> float:
     """``phi(t) = J(t s)`` via the ray moments."""
-    return float(_ray_data(spec, *_state_values(spec, s)).phi(float(t)))
+    return float(_ray_data(spec, *_state_pair(spec, s)).phi(float(t)))
 
 
 def fibering_slope(spec: ProblemSpec, s: State, t: float) -> float:
     """``phi'(t) = J'(t s)(s)`` via the ray moments."""
-    return float(_ray_data(spec, *_state_values(spec, s)).phi_prime(float(t)))
+    return float(_ray_data(spec, *_state_pair(spec, s)).phi_prime(float(t)))
 
 
 def fibering_slope_nehari_form(spec: ProblemSpec, s: State, t: float) -> float:
@@ -608,7 +611,7 @@ def fibering_slope_nehari_form(spec: ProblemSpec, s: State, t: float) -> float:
     Equals ``sum_j c_j (t - t^{p_j-1}) + (t^{q-1} - t) mq``, which agrees
     with ``phi'`` exactly when ``xi(s) = 0``.
     """
-    rd = _ray_data(spec, *_state_values(spec, s))
+    rd = _ray_data(spec, *_state_pair(spec, s))
     t = float(t)
     fsum = sum(c * (t - t ** (p - 1.0)) for c, p in zip(rd.coeffs, rd.exps))
     return float(fsum + (t ** (rd.q - 1.0) - t) * rd.mq)
@@ -673,7 +676,7 @@ def _project_ray(rd: _RayData) -> tuple[float, tuple[float, float], int]:
     return t, bracket, iterations
 
 
-def fibering_project(spec: ProblemSpec, s):
+def fibering_project(spec: ProblemSpec, s: State | np.ndarray):
     """Scale a nonzero state onto the Nehari manifold.
 
     Finds the unique ``t* > 0`` with ``phi'(t*) = 0`` (bracketing by
@@ -694,7 +697,7 @@ def fibering_project(spec: ProblemSpec, s):
     still slower for eight.)
     """
     single = isinstance(s, State)
-    S = np.stack(_state_values(spec, s))[None] if single else s
+    S = _state_pair(spec, s)[None] if single else s
     if not np.all(np.any(S.reshape(len(S), -1), axis=1)):
         raise ValueError("cannot project the zero state onto the manifold")
     rd = _ray_data(spec, S[:, 0], S[:, 1])

@@ -158,36 +158,37 @@ class DomainSpec:
         return list(np.meshgrid(*axes, indexing="ij"))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class GridFunction:
     """A scalar field sampled on a :class:`DomainSpec`.
 
-    Values are stored row-major over interior (Dirichlet) or all (periodic)
-    nodes and are immutable once constructed.  Two grid functions combine
-    only when their domains are identical.
+    Construction checks and freezes a private row-major float copy of
+    ``values`` over interior (Dirichlet) or all (periodic) nodes: the given
+    array stays writeable, and later writes to it or to its base do not reach
+    the grid function.  Two grid functions combine only when their domains
+    are identical.
     """
 
-    __slots__ = ("domain", "values")
+    domain: DomainSpec
+    values: np.ndarray
 
-    def __init__(self, domain: DomainSpec, values):
-        arr = np.ascontiguousarray(values, dtype=float)
-        if arr.shape != domain.shape:
-            raise ValueError(f"values shape {arr.shape} does not match domain shape {domain.shape}")
+    def __post_init__(self):
+        arr, shape = np.array(self.values, dtype=float, order="C"), self.domain.shape
+        if arr.shape != shape:
+            raise ValueError(f"values shape {arr.shape} does not match domain shape {shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("grid function values must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GridFunction is immutable")
 
     @staticmethod
     def constant(domain: DomainSpec, value: float) -> "GridFunction":
-        return GridFunction(domain, np.full(domain.shape, float(value)))
+        return GridFunction(domain, np.broadcast_to(float(value), domain.shape))
 
     @staticmethod
     def from_callable(domain: DomainSpec, fn, tile_unit_cell: bool = True) -> "GridFunction":
-        """Sample ``fn(x1, ..., xd)`` on the grid.
+        """Sample ``fn(x1, ..., xd)`` on the grid; a value that does not
+        depend on every coordinate broadcasts.
 
         On periodic domains the function is by default sampled on one unit
         cell and tiled, so the stored field repeats bit-exactly across cells
@@ -197,14 +198,11 @@ class GridFunction:
         if domain.periodic and tile_unit_cell:
             m = domain.points_per_cell
             cell_axes = [np.arange(mi) * domain.spacing[a] for a, mi in enumerate(m)]
-            mesh = np.meshgrid(*cell_axes, indexing="ij")
-            cell = np.asarray(fn(*mesh), dtype=float)
-            cell = np.broadcast_to(cell, tuple(m))
+            cell = np.asarray(fn(*np.meshgrid(*cell_axes, indexing="ij")), dtype=float)
             reps = tuple(int(p) for p in domain.lengths)
-            return GridFunction(domain, np.tile(cell, reps))
-        mesh = domain.meshgrid()
-        vals = np.broadcast_to(np.asarray(fn(*mesh), dtype=float), domain.shape)
-        return GridFunction(domain, vals.copy())
+            return GridFunction(domain, np.tile(np.broadcast_to(cell, tuple(m)), reps))
+        vals = np.asarray(fn(*domain.meshgrid()), dtype=float)
+        return GridFunction(domain, np.broadcast_to(vals, domain.shape))
 
     def __repr__(self):
         return f"GridFunction({self.domain.kind}, shape={self.domain.shape})"

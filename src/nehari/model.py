@@ -142,17 +142,17 @@ def _sample_magnitudes() -> np.ndarray:
     return np.concatenate([-mags[::-1], mags])
 
 
-def validate_nonlinearity(nl: Nonlinearity, q: float, dimension: int | None = None) -> ValidationReport:
-    """Check the structural hypotheses of one nonlinearity against ``q``.
+def validate_nonlinearity(nl: Nonlinearity, q: float, dimension: int) -> ValidationReport:
+    """Check the structural hypotheses of one nonlinearity against ``q`` in ``dimension``.
 
     Analytic constraints: positive coefficients (else the superlinear growth
-    fails) and every exponent strictly above ``q`` (else monotonicity of
-    ``f(s)/|s|^(q-1)`` fails); with ``dimension`` given, exponents must also
-    stay below the critical one.  The two scalar inequalities are then
-    verified on log-spaced samples with strict floating-point margins.
+    fails), every exponent strictly above ``q`` (else monotonicity of
+    ``f(s)/|s|^(q-1)`` fails) and, from dimension 3 on, below the critical
+    one ``2N/(N-2)``.  The two scalar inequalities are then verified on
+    log-spaced samples with strict floating-point margins.
     """
     rep = ValidationReport()
-    if dimension is not None and dimension >= 3:
+    if dimension >= 3:
         crit = 2.0 * dimension / (dimension - 2)
         rep.add("subcritical growth (F1)", all(p < crit for _, p in nl.terms),
                 crit - nl.p_max, detail=f"max exponent {nl.p_max:g} vs 2*={crit:g}")
@@ -330,7 +330,7 @@ def validate_problem(spec: ProblemSpec) -> ValidationReport:
     """Run every hypothesis check for a problem; report one line per check."""
     rep = ValidationReport()
     for label, nl in (("f1", spec.f1), ("f2", spec.f2)):
-        sub = validate_nonlinearity(nl, spec.q, dimension=spec.domain.dimension)
+        sub = validate_nonlinearity(nl, spec.q, spec.domain.dimension)
         for c in sub.checks:
             rep.add(f"{label}: {c.name}", c.passed, c.margin, c.witness, c.detail)
     pots = validate_potentials(spec)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import DomainSpec, _pair_inner, _roll_cells, _schrodinger_values
 from .model import ProblemSpec
-from .energy import State, _pcg_schrodinger, _ray_data, grad_l2, xi_grad_l2
+from .energy import State, _pcg_schrodinger, _ray_data, _state_pair, grad_l2, xi_grad_l2
 from .solver import (
     SolveConfig,
     SolveReport,
@@ -369,9 +369,7 @@ def orbit_distance(spec: ProblemSpec, s1: State, s2: State) -> float:
     cell shifts ``z`` and the joint sign flip; on bounded domains only the
     sign flip is quotiented.
     """
-    if s1.domain != s2.domain:
-        raise ValueError("states live on different domains")
-    dist = _orbit_realizer(spec, s1.pair()[None], s2.pair()[None])[0]
+    dist = _orbit_realizer(spec, _state_pair(spec, s1)[None], _state_pair(spec, s2)[None])[0]
     return float(dist[0, 0])
 
 
@@ -396,10 +394,11 @@ class SolutionSet:
     def _orbits(self) -> np.ndarray:
         """Every stored orbit as a row of one pair array: the entries by
         energy, then the twins."""
-        return np.stack([s.pair() for s, _ in self.entries] + [s.pair() for s in self.twin_orbits])
+        states = [s for s, _ in self.entries] + self.twin_orbits
+        return np.stack([_state_pair(self.spec, s) for s in states])
 
     def is_new_orbit(self, s: State) -> bool:
-        return bool(self._new_orbits(s.pair()[None])[0])
+        return bool(self._new_orbits(_state_pair(self.spec, s)[None])[0])
 
     def _new_orbits(self, S: np.ndarray) -> np.ndarray:
         """Whether each row of the pair array ``S`` stays clear of every

@@ -38,6 +38,7 @@ from .energy import (
     _RayData,
     _precondition,
     _ray_data,
+    _state_pair,
     fibering_project,
     grad_l2,
     nehari_xi,
@@ -416,10 +417,10 @@ def minimize_on_nehari(spec: ProblemSpec, config: SolveConfig, init: State,
     ``grad_tol``.  Accepted
     energies decrease monotonically (up to roundoff slack near stagnation).
     """
+    S = _state_pair(spec, init)
     if init.is_zero():
         raise ValueError("initial state must be nonzero")
-    (report,), final = _descend(spec, config, init.pair()[None], _EnergyObjective(spec),
-                                [start_index])
+    (report,), final = _descend(spec, config, S[None], _EnergyObjective(spec), [start_index])
     return report, State.from_pair(spec.domain, final[0])
 
 
@@ -647,9 +648,9 @@ def decay_fit(s: State) -> DecayFit:
 
 def m_map(spec: ProblemSpec, w: State) -> State:
     """Map a unit-norm state to the manifold along its ray."""
+    nrm = norm_E(spec, w)   # rejects a state from another domain first
     if w.is_zero():
         raise ValueError("m_map requires a nonzero state")
-    nrm = norm_E(spec, w)
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"m_map requires a unit-norm state, got norm {nrm!r}")
     _, s = fibering_project(spec, w)
@@ -658,9 +659,9 @@ def m_map(spec: ProblemSpec, w: State) -> State:
 
 def m_inverse(spec: ProblemSpec, s: State) -> State:
     """Radial retraction of a manifold point back to the unit sphere."""
+    nrm = norm_E(spec, s)   # rejects a state from another domain first
     if s.is_zero():
         raise ValueError("m_inverse requires a nonzero state")
-    nrm = norm_E(spec, s)
     if abs(nehari_xi(spec, s)) > 1e-6 * nrm * nrm:
         raise ValueError("m_inverse requires a state on the Nehari manifold")
     return s.scaled(1.0 / nrm)

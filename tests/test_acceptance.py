@@ -60,7 +60,7 @@ def test_c1_hypothesis_gate():
     for tag in ("F1", "F2", "F3", "F4", "F5", "V1", "V2"):
         assert f"({tag})" in names, tag
 
-    low = validate_nonlinearity(Nonlinearity(((1.0, 2.5),)), spec.q)
+    low = validate_nonlinearity(Nonlinearity(((1.0, 2.5),)), spec.q, spec.domain.dimension)
     assert not low.passed
     assert any("F4" in c.name for c in low.failures())
 

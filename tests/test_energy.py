@@ -1,7 +1,10 @@
 """Energy functional, gradients, constraint functional and fibering map."""
 
+import importlib
+import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -50,8 +53,9 @@ from nehari.energy import (
     xi_grad_l2,
 )
 from nehari.model import Nonlinearity, ProblemSpec
-from nehari.multiplicity import _apply_block
-from nehari.solver import SolveConfig, find_ground_state
+from nehari.multiplicity import SolutionSet, _apply_block, orbit_distance
+from nehari.solver import (SolveConfig, SolveReport, find_ground_state, m_inverse, m_map,
+                           minimize_on_nehari)
 from conftest import count_calls, force_undominated_root, make_spec, random_state
 
 
@@ -579,8 +583,20 @@ def test_projection_next_to_the_manifold_reaches_roundoff(bounded_spec, seed, ep
     assert iterations <= 8
 
 
+def _on_problem_domain(spec):
+    """A nonzero state on the problem domain."""
+    return State.from_values(spec.domain, np.ones(spec.domain.shape), np.ones(spec.domain.shape))
+
+
+_REPORT = SolveReport(1.0, 0.0, 0.0, 0, 0, 1.0, 1.0, "converged")
+
+# Every public function of energy, solver and multiplicity that takes a
+# problem spec and a state, by its name (``Class.method`` for the methods of
+# a public class that holds a spec), plus cases for a state in another
+# argument position
 _STATE_FUNCTIONS = {
     "energy": lambda spec, s: energy(spec, s),
+    "e_inner": lambda spec, s: e_inner(spec, _on_problem_domain(spec), s),
     "norm_E": lambda spec, s: norm_E(spec, s),
     "coercive_form": lambda spec, s: coercive_form(spec, s),
     "nehari_xi": lambda spec, s: nehari_xi(spec, s),
@@ -591,9 +607,15 @@ _STATE_FUNCTIONS = {
     "grad_l2": lambda spec, s: grad_l2(spec, s),
     "xi_grad_l2": lambda spec, s: xi_grad_l2(spec, s),
     "grad_precond": lambda spec, s: grad_precond(spec, s),
-    "grad_precond_given_g": lambda spec, s: grad_precond(
-        spec, State.from_values(spec.domain, np.ones(64), np.ones(64)), g=s),
+    "grad_precond_given_g": lambda spec, s: grad_precond(spec, _on_problem_domain(spec), g=s),
     "fibering_project": lambda spec, s: fibering_project(spec, s),
+    "minimize_on_nehari": lambda spec, s: minimize_on_nehari(spec, SolveConfig(), s),
+    "m_map": lambda spec, s: m_map(spec, s),
+    "m_inverse": lambda spec, s: m_inverse(spec, s),
+    "orbit_distance": lambda spec, s: orbit_distance(spec, s, s),
+    "orbit_distance_second": lambda spec, s: orbit_distance(spec, _on_problem_domain(spec), s),
+    "SolutionSet.add": lambda spec, s: SolutionSet(spec).add(s, _REPORT),
+    "SolutionSet.is_new_orbit": lambda spec, s: SolutionSet(spec).is_new_orbit(s),
 }
 
 
@@ -605,6 +627,45 @@ def test_state_from_another_domain_is_rejected(name):
     s = State.from_values(other, np.ones(64), np.ones(64))
     with pytest.raises(ValueError, match="problem domain"):
         _STATE_FUNCTIONS[name](spec, s)
+
+
+def _takes_spec_and_state(fn, holds_spec=False) -> bool:
+    params = inspect.signature(fn).parameters.values()
+    return (holds_spec or any(p.name == "spec" for p in params)) and any(
+        re.search(r"\bState\b", str(p.annotation)) for p in params)
+
+
+def test_domain_table_covers_every_spec_aware_function():
+    """The table above names every public function of energy, solver and
+    multiplicity that takes a problem spec and a state, and every public
+    method, taking a state, of a public class that holds a spec."""
+    found = set()
+    for module in ("energy", "solver", "multiplicity"):
+        module = importlib.import_module(f"nehari.{module}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and _takes_spec_and_state(obj):
+                found.add(name)
+            elif inspect.isclass(obj) and "spec" in getattr(obj, "__dataclass_fields__", {}):
+                found.update(f"{name}.{m}" for m, f in vars(obj).items()
+                             if inspect.isfunction(f) and not m.startswith("_")
+                             and _takes_spec_and_state(f, holds_spec=True))
+    assert {"energy", "minimize_on_nehari", "orbit_distance", "SolutionSet.add"} <= found
+    assert found - set(_STATE_FUNCTIONS) == set()
+
+
+def test_state_owns_copies_of_its_values():
+    """A state built from a pair array, whose components are views of it,
+    keeps its values when the array changes, and leaves it writeable; its
+    components must share one domain."""
+    dom = DomainSpec.dirichlet_box(1.0, 8)
+    P = np.ones((2, 8))
+    s = State.from_pair(dom, P)
+    P[0, 0] = 5.0
+    assert s.u.values[0] == 1.0 and P.flags.writeable
+    other = GridFunction.constant(DomainSpec.dirichlet_box(2.0, 8), 1.0)
+    with pytest.raises(ValueError, match="grid functions live on different domains"):
+        State(s.u, other)
 
 
 def _scipy_shift_solve(domain, rhs, shifts):

@@ -1,6 +1,7 @@
 """Discrete operators, norms, shifts and the grid file format."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nehari.grid import (
     _laplacian_values,
     _neighbor_sum,
     grid_function_to_csv,
+    schrodinger_apply,
     h_inner,
     h_norm_sq,
     l2_inner,
@@ -80,6 +82,51 @@ def test_values_immutable_and_finite():
         f.values[0] = 3.0
     with pytest.raises(ValueError):
         GridFunction(dom, np.full(dom.shape, np.nan))
+
+
+def test_grid_function_owns_a_copy_of_its_values():
+    """The given array stays writeable, and a later write to it, or to the
+    base of a view, leaves the grid function unchanged."""
+    dom = DomainSpec.dirichlet_box(1.0, 8)
+    a = np.arange(8.0)
+    g = GridFunction(dom, a)
+    assert a.flags.writeable and not g.values.flags.writeable
+    a[0] = 99.0
+    assert g.values[0] == 0.0
+    base = np.zeros((3, 8))
+    h = GridFunction(dom, base[1])
+    base[1, 0] = 5.0
+    assert h.values[0] == 0.0 and h.values.flags.c_contiguous
+
+
+_BOX8 = DomainSpec.dirichlet_box(1.0, 8)
+_TORUS4 = DomainSpec.periodic_torus([2], 4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: setattr(GridFunction.constant(_BOX8, 1.0), "values", np.zeros(8)),
+     AttributeError, "cannot assign to field 'values'"),
+    (lambda: GridFunction(_BOX8, np.zeros(3)),
+     ValueError, "values shape (3,) does not match domain shape (8,)"),
+    (lambda: schrodinger_apply(GridFunction.constant(_BOX8, 1.0),
+                               GridFunction.constant(DomainSpec.dirichlet_box(2.0, 8), 1.0)),
+     ValueError, "potential lives on a different domain"),
+    (lambda: shift(GridFunction.constant(_TORUS4, 1.0), (1, 1)),
+     ValueError, "shift vector must have one entry per axis"),
+    (lambda: local_mass_sup(*[GridFunction.constant(_BOX8, 1.0)] * 2, 0.1),
+     ValueError, "local_mass_sup requires a periodic domain"),
+    (lambda: local_mass_sup(*[GridFunction.constant(_TORUS4, 1.0)] * 2, 0.0),
+     ValueError, "radius must be positive"),
+    (lambda: DomainSpec(1, "sphere", (8,), (1.0,)),
+     ValueError, "kind must be one of ('dirichlet_box', 'periodic_torus'), got 'sphere'"),
+    (lambda: DomainSpec(2, "dirichlet_box", (8,), (1.0, 1.0)),
+     DomainError, "shape and lengths must have one entry per axis"),
+], ids=["frozen", "values_shape", "potential_domain", "shift_length", "mass_on_box",
+        "mass_radius", "domain_kind", "axis_counts"])
+def test_guard_messages(call, error, message):
+    """Each guard raises its documented error with its own message."""
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_periodic_constant_in_kernel():

@@ -8,12 +8,27 @@ from nehari.grid import DomainSpec, GridFunction
 from nehari.model import (
     Nonlinearity,
     ProblemSpec,
+    ValidationError,
     radius_R,
     validate_nonlinearity,
     validate_potentials,
     validate_problem,
 )
 from conftest import make_spec
+
+
+def test_guard_messages():
+    """The data guards raise with their own messages."""
+    with pytest.raises(ValueError, match="nonlinearity needs at least one term"):
+        Nonlinearity(())
+    with pytest.raises(ValidationError, match="radius requires every exponent above q"):
+        radius_R(Nonlinearity(((1.0, 4.0), (1.0, 3.0))), 3.0)
+    dom = DomainSpec.dirichlet_box(1.0, 8)
+    other = GridFunction.constant(DomainSpec.dirichlet_box(2.0, 8), 1.0)
+    one = GridFunction.constant(dom, 1.0)
+    with pytest.raises(ValueError, match="potential fields must live on the problem domain"):
+        ProblemSpec(domain=dom, q=3.0, f1=Nonlinearity(((1.0, 4.0),)),
+                    f2=Nonlinearity(((1.0, 4.0),)), V1=one, V2=one, lam=other)
 
 
 def test_power_term_values():
@@ -40,24 +55,24 @@ def test_F_prime_is_f():
 
 
 def test_validate_single_power():
-    rep = validate_nonlinearity(Nonlinearity(((1.0, 4.0),)), 3.0)
+    rep = validate_nonlinearity(Nonlinearity(((1.0, 4.0),)), 3.0, dimension=1)
     assert rep.passed
     assert all(c.margin > 0 for c in rep.checks)
 
 
 def test_validate_rejects_low_exponent():
-    rep = validate_nonlinearity(Nonlinearity(((1.0, 2.5),)), 3.0)
+    rep = validate_nonlinearity(Nonlinearity(((1.0, 2.5),)), 3.0, dimension=1)
     assert not rep.passed
     assert any("F4" in c.name for c in rep.failures())
 
 
 def test_validate_rejects_bad_coefficient():
-    rep = validate_nonlinearity(Nonlinearity(((-1.0, 4.0), (1.0, 4.0))), 3.0)
+    rep = validate_nonlinearity(Nonlinearity(((-1.0, 4.0), (1.0, 4.0))), 3.0, dimension=1)
     assert any("F3" in c.name for c in rep.failures())
 
 
 def test_validate_two_terms():
-    rep = validate_nonlinearity(Nonlinearity(((1.0, 3.5), (0.5, 4.5))), 3.0)
+    rep = validate_nonlinearity(Nonlinearity(((1.0, 3.5), (0.5, 4.5))), 3.0, dimension=1)
     assert rep.passed
 
 
@@ -87,7 +102,7 @@ def test_scalar_inequalities_on_random_families(family):
     """AR chain and the superlinear-slope inequality hold with positive margin."""
     q, nl = family
     s = np.geomspace(1e-6, 1e6, 200)
-    assert validate_nonlinearity(nl, q).passed
+    assert validate_nonlinearity(nl, q, dimension=1).passed
     fs = nl.f_times_s(s)
     assert np.all(q * nl.F(s) <= fs)
     assert np.all(q * nl.F(s) >= 0)

@@ -571,6 +571,22 @@ def test_m_map_guards(bounded_spec):
         m_inverse(bounded_spec, s)   # not on the manifold
 
 
+def test_guard_messages(bounded_spec):
+    """The decay fit and the sphere maps reject what they cannot take, each
+    with its own message."""
+    box, torus = bounded_spec.domain, DomainSpec.periodic_torus([4], 8)
+
+    def zero(dom):
+        return State.from_values(dom, np.zeros(dom.shape), np.zeros(dom.shape))
+
+    with pytest.raises(ValueError, match="decay_fit requires a periodic domain"):
+        decay_fit(State.from_values(box, np.ones(box.shape), np.ones(box.shape)))
+    with pytest.raises(ValueError, match="decay_fit needs a nonzero state"):
+        decay_fit(zero(torus))
+    with pytest.raises(ValueError, match="m_inverse requires a nonzero state"):
+        m_inverse(bounded_spec, zero(box))
+
+
 def test_descent_makes_no_sorted_reduction(monkeypatch, bounded_spec):
     """The descent's residual and slopes reduce by plain sums: a default
     ground-state solve on the box never calls the sorted ``_csum``."""
