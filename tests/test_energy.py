@@ -593,7 +593,7 @@ _REPORT = SolveReport(1.0, 0.0, 0.0, 0, 0, 1.0, 1.0, "converged")
 # Every public function of energy, solver and multiplicity that takes a
 # problem spec and a state, by its name (``Class.method`` for the methods of
 # a public class that holds a spec), plus cases for a state in another
-# argument position
+# argument position.
 _STATE_FUNCTIONS = {
     "energy": lambda spec, s: energy(spec, s),
     "e_inner": lambda spec, s: e_inner(spec, _on_problem_domain(spec), s),
