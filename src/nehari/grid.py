@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import irfftn, rfftn
 
 __all__ = [
     "DomainError",
@@ -477,6 +478,74 @@ def _roll_cells(a: np.ndarray, z, domain: DomainSpec) -> np.ndarray:
     the cell group is trivial and ``z == ()`` copies."""
     nodes = tuple(int(zi) * m for zi, m in zip(z, domain.points_per_cell)) if len(z) else ()
     return np.roll(a, nodes, axis=_trailing_axes(a, domain)[:len(nodes)])
+
+
+def _orbit_realization(domain: DomainSpec, S: np.ndarray, applied_S: np.ndarray,
+                       known: np.ndarray, applied: np.ndarray, steps: tuple[int, ...],
+                       swap: bool = False):
+    """Block-norm distances of every row of ``S`` from the orbit of every row
+    of ``known`` (pair arrays ``(rows, 2, *shape)`` and ``(orbits, 2, *shape)``),
+    given the block operator applied to each: ``applied_S = (-lap+V) S`` and
+    ``applied = (-lap+V) known``.
+
+    The orbit of ``s_k`` is its images ``+- g tau_z s_k`` under the sign flip,
+    the node shifts ``z`` by multiples of ``steps`` (one step per grid axis;
+    ``()`` on a box) and, when ``swap``, the component swap ``g``.  The
+    operator must commute with each of them (V1, V2 and lambda invariant,
+    V1 = V2 for the swap), so that ``(-lap+V) g tau_z s_k = g tau_z applied_k``.
+    The realized pairing maximizes ``|<(-lap+V) g tau_z s_k, s_i>|``, and the
+    distance is ``sqrt(||s_i||^2 + ||s_k||^2 - 2 |pairing|)``.
+
+    With more than one shift, every shift's pairing comes from one real-FFT
+    cross-correlation per pair of rows (one more with the swap).  The shifts
+    whose correlation lies within ``1e-10 |applied_k|_2 |s_i|_2`` of the
+    largest modulus (far above the transforms' roundoff) are paired again
+    directly, by ``_pair_inner`` on the rolled array, and the largest
+    modulus wins, the first in ``np.ndindex`` order (the swap after every
+    plain shift) among equal ones: the result of a loop over every shift
+    that keeps the first strictly larger modulus, bit for bit, so copies
+    and sign flips come out at exactly 0.  With one shift (a box) the direct
+    pairings alone decide, and no transform runs.
+
+    Returns ``(rows, orbits)`` arrays of the distance, the signed realized
+    pairing and the realizing shift in steps (one more trailing axis), and
+    the squared block norms ``<(-lap+V) s, s>`` of the rows and of ``known``.
+    """
+    n1 = _pair_inner(domain, applied_S, S)
+    n2 = _pair_inner(domain, applied, known)
+    images = (applied, applied[:, ::-1]) if swap else (applied,)
+    ip = np.zeros((len(S), len(known)))
+    shift = np.zeros(ip.shape + (len(steps),), dtype=int)
+    counts = tuple(n // step for n, step in zip(domain.shape, steps))
+    if np.prod(counts) == 1:
+        for image in images:
+            for k in range(len(known)):
+                value = _pair_inner(domain, image[k], S)
+                better = np.abs(value) > np.abs(ip[:, k])
+                ip[better, k] = value[better]
+    else:
+        axes = _trailing_axes(S, domain)
+        FS = rfftn(S, axes=axes)[:, None]
+        FA = np.conj(rfftn(applied, axes=axes))
+        # (image component, row component) products of the plain and the swapped image
+        pairs = ((0, 0), (1, 1)), ((1, 0), (0, 1))
+        every = (slice(None),) * 2 + tuple(slice(None, None, step) for step in steps)
+        corr = np.stack([
+            irfftn(FA[:, a] * FS[:, :, b] + FA[:, c] * FS[:, :, d], s=domain.shape,
+                   axes=axes)[every]
+            for (a, b), (c, d) in pairs[:len(images)]]) * domain.cell_volume
+        slack = 1e-10 * domain.cell_volume * np.outer(
+            np.sqrt(np.sum(S * S, axis=tuple(range(1, S.ndim)))),
+            np.sqrt(np.sum(applied * applied, axis=tuple(range(1, applied.ndim)))))
+        for i, k in np.ndindex(ip.shape):
+            size = np.abs(corr[:, i, k])
+            for g, *z in np.argwhere(size >= size.max() - slack[i, k]):
+                nodes = tuple(zi * step for zi, step in zip(z, steps))
+                rolled = np.roll(images[g][k:k + 1], nodes, axis=axes)
+                value = _pair_inner(domain, rolled, S[i:i + 1])[0]
+                if abs(value) > abs(ip[i, k]):
+                    ip[i, k], shift[i, k] = value, z
+    return np.sqrt(np.maximum(n1[:, None] + n2 - 2.0 * np.abs(ip), 0.0)), ip, shift, n1, n2
 
 
 def _ball_offsets(domain: DomainSpec, r: float) -> list[tuple[int, ...]]:

@@ -253,11 +253,17 @@ class Symmetry:
     ``s -> -s`` that every problem has: ``periods``, the cells per torus axis
     (``()`` on a box); ``swap``, whether V1 and V2 are bitwise equal with
     equal nonlinearity terms; ``mirrors``, the box axes whose flip leaves V1,
-    V2 and lambda bitwise unchanged."""
+    V2 and lambda bitwise unchanged; ``node_steps``, per torus axis the
+    smallest shift in nodes along that axis alone that leaves V1, V2 and
+    lambda bitwise unchanged (1 on constant fields, the nodes per cell on a
+    cosine well; ``()`` on a box).  The shifts by multiples of the node
+    steps are a subgroup of the fields' translations: a diagonal shift that
+    no product of axis shifts gives is not in it."""
 
     periods: tuple[int, ...]
     swap: bool
     mirrors: tuple[int, ...]
+    node_steps: tuple[int, ...]
 
     @cached_property
     def filters(self) -> tuple:
@@ -311,10 +317,15 @@ class ProblemSpec:
         mirrors = () if dom.periodic else tuple(
             a for a in range(dom.dimension)
             if all(np.array_equal(f, np.flip(f, axis=a)) for f in fields))
+        # the smallest invariant shift along an axis divides its node count
+        node_steps = () if not dom.periodic else tuple(
+            next(d for d in range(1, n + 1) if n % d == 0
+                 and all(np.array_equal(f, np.roll(f, d, axis=a)) for f in fields))
+            for a, n in enumerate(dom.shape))
         return Symmetry(
             periods=tuple(int(p) for p in dom.lengths) if dom.periodic else (),
             swap=np.array_equal(self.V1.values, self.V2.values) and self.f1.terms == self.f2.terms,
-            mirrors=mirrors)
+            mirrors=mirrors, node_steps=node_steps)
 
     @cached_property
     def coupling_bound(self) -> tuple[float, tuple[int, ...]]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import DomainSpec, _pair_inner, _roll_cells, _schrodinger_values
+from .grid import DomainSpec, _orbit_realization, _pair_inner, _roll_cells, _schrodinger_values
 from .model import ProblemSpec
 from .energy import State, _pcg_schrodinger, _ray_data, _state_pair, grad_l2, xi_grad_l2
 from .solver import (
@@ -334,32 +334,21 @@ def _orbit_realizer(spec: ProblemSpec, S1: np.ndarray, known: np.ndarray,
     ``(orbits, 2, *shape)``; ``applied`` optionally holds
     ``_apply_block(spec, known)``, for callers that realize the same orbits
     many times.  Each known orbit is realized over the sign flip and the
-    cell translations of ``spec.symmetry`` (none on a box).  All three
-    quadratic terms of ``||s1 -+ tau_z s_k||^2`` go through the same
-    operator route and accumulate in one fixed order, so quotiented copies
-    (pure sign flips) give exactly zero.  Returns ``(rows, orbits)`` arrays of the
-    distance, the realizing sign, ``|<(-lap+V) tau_z s_k, s1>|`` and the
-    cell shift ``z`` (one more trailing axis), and the squared block norms
-    ``<(-lap+V) s, s>`` of the rows and of the known orbits.
+    cell translations of ``spec.symmetry`` (none on a box) by
+    ``grid._orbit_realization``, with the nodes per cell as its steps and
+    no swap: the cell shifts come from one FFT cross-correlation per pair
+    of rows, and the best of them is paired again directly, so quotiented
+    copies (pure sign flips) give exactly zero.  Returns
+    ``(rows, orbits)`` arrays of the distance, the realizing sign,
+    ``|<(-lap+V) tau_z s_k, s1>|`` and the cell shift ``z`` (one more
+    trailing axis), and the squared block norms ``<(-lap+V) s, s>`` of the
+    rows and of the known orbits.
     """
     dom = spec.domain
-    q1 = _apply_block(spec, S1)
+    cells = tuple(n // p for n, p in zip(dom.shape, spec.symmetry.periods))
     q2 = _apply_block(spec, known) if applied is None else applied
-    n1 = _pair_inner(dom, q1, S1)
-    n2 = _pair_inner(dom, q2, known)
-    periods = spec.symmetry.periods
-    best_ip = np.zeros((len(S1), len(known)))
-    best_z = np.zeros(best_ip.shape + (len(periods),), dtype=int)
-    for z in np.ndindex(periods):
-        rolled = _roll_cells(q2, z, dom)
-        for k in range(len(known)):
-            ip = _pair_inner(dom, rolled[k], S1)
-            better = np.abs(ip) > np.abs(best_ip[:, k])
-            best_ip[better, k] = ip[better]
-            best_z[better, k] = z
-    sign = np.where(best_ip >= 0, 1.0, -1.0)
-    dist = np.sqrt(np.maximum(n1[:, None] + n2 - 2.0 * np.abs(best_ip), 0.0))
-    return dist, sign, np.abs(best_ip), best_z, n1, n2
+    dist, ip, z, n1, n2 = _orbit_realization(dom, S1, _apply_block(spec, S1), known, q2, cells)
+    return dist, np.where(ip >= 0, 1.0, -1.0), np.abs(ip), z, n1, n2
 
 
 def orbit_distance(spec: ProblemSpec, s1: State, s2: State) -> float:

@@ -31,7 +31,16 @@ import numpy as np
 # in the package import instead of the first solve
 from numpy.random import default_rng
 
-from .grid import DomainSpec, GridFunction, _format_record, _pair_inner, local_mass_sup, shift
+from .grid import (
+    DomainSpec,
+    GridFunction,
+    _format_record,
+    _orbit_realization,
+    _pair_inner,
+    _schrodinger_values,
+    local_mass_sup,
+    shift,
+)
 from .model import ProblemSpec
 from .energy import (
     State,
@@ -425,9 +434,12 @@ def minimize_on_nehari(spec: ProblemSpec, config: SolveConfig, init: State,
 
 
 # Nested iteration on tori: the residual the coarse levels descend to (or
-# the configured one, if larger), and the fraction of a field's largest
-# value within which a halved grid must reproduce it
+# the configured one, if larger), the orbit distance, relative to the
+# larger norm, within which a row after the coarsest level joins a
+# lower-index row's orbit, and the fraction of a field's largest value
+# within which a halved grid must reproduce it
 _COARSE_TOL = 1e-4
+_ORBIT_TOL = 1e-3
 _RESOLVE_RTOL = 1e-12
 _FIELDS = ("V1", "V2", "lam")
 
@@ -489,25 +501,55 @@ def _coarse_levels(spec: ProblemSpec) -> list[ProblemSpec]:
     return levels
 
 
-def _ladder_starts(spec: ProblemSpec, config: SolveConfig) -> np.ndarray:
+def _orbit_representatives(spec: ProblemSpec, S: np.ndarray) -> list[int]:
+    """The rows of the pair array ``S`` that each open an orbit, in order: a
+    row is kept when its block-norm distance to the orbit of every kept
+    lower-index row exceeds ``_ORBIT_TOL`` of the larger of the two norms.
+
+    The orbits are taken under the sign flip, the node shifts by multiples of
+    ``spec.symmetry.node_steps`` and, when ``spec.symmetry.swap``, the
+    component swap (``grid._orbit_realization``), so the lowest index of
+    each orbit survives.
+    """
+    group = spec.symmetry
+    applied = _schrodinger_values(S, spec.potential_pair, spec.domain)
+    dist, _, _, n1, n2 = _orbit_realization(spec.domain, S, applied, S, applied,
+                                            group.node_steps, group.swap)
+    near = dist <= _ORBIT_TOL * np.sqrt(np.maximum(n1[:, None], n2))
+    kept = []
+    for row in range(len(S)):
+        if not near[row, kept].any():
+            kept.append(row)
+    return kept
+
+
+def _ladder_starts(spec: ProblemSpec, config: SolveConfig) -> tuple[np.ndarray, list[int]]:
     """The starts, descended on the ``_coarse_levels`` of a torus, coarsest
-    first, and prolonged to the problem's grid; with no levels, the
-    ``initial_states`` themselves.
+    first, one per orbit, and prolonged to the problem's grid; with no
+    levels, the ``initial_states`` themselves.  Returns the rows and the
+    start index of each.
 
     The starts are ``initial_states`` on the problem's grid taken at the
     coarsest level's nodes.  Each level descends to ``_COARSE_TOL`` (or the
     configured ``grad_tol``, if larger); its rows are prolonged whether
-    they converged or not.
+    they converged or not.  After the coarsest level only the
+    ``_orbit_representatives`` go on: rows within ``_ORBIT_TOL`` of a
+    lower-index row's orbit under the problem's group end where it ends, up
+    to that group, and would each pay their own finer descents.
     """
     levels = _coarse_levels(spec)
     nodes = (slice(None),) * 2 + (slice(None, None, 2 ** len(levels)),) * spec.domain.dimension
     # with levels, a copy of the coarse nodes: the fine starts are freed here
     S = np.ascontiguousarray(initial_states(spec, config)[nodes])
+    kept = list(range(len(S)))
     coarse_config = replace(config, grad_tol=max(config.grad_tol, _COARSE_TOL))
     for level in reversed(levels):
-        _, S = _descend(level, coarse_config, S, _EnergyObjective(level), list(range(len(S))))
+        _, S = _descend(level, coarse_config, S, _EnergyObjective(level), kept)
+        if level is levels[-1]:
+            rows = _orbit_representatives(level, S)
+            S, kept = S[rows], [kept[r] for r in rows]
         S = _prolong(S)
-    return S
+    return S, kept
 
 
 def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveReport, State]:
@@ -519,21 +561,23 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
     returned components are nonnegative up to 1e-10 of the peak amplitude.
     On tori the starts first descend on a ladder of halved grids
     (``_coarse_levels``, possibly none), coarsest first, and the fine
-    descent starts from the prolonged rows (nested iteration); the reports
-    count fine-grid iterates only.  Deterministic for a fixed seed:
-    converged energies within the Armijo slack of the lowest tie, and a tie
-    goes to the lowest start index.
+    descent starts from the prolonged rows (nested iteration); after the
+    coarsest level only the lowest start of each orbit of the problem's
+    group goes on (``_ladder_starts``).  The reports count fine-grid
+    iterates only, and ``rho_estimate``, the least norm over every iterate
+    of the fine descent, covers the rows that reach it.  Deterministic for
+    a fixed seed: converged energies within the Armijo slack of the lowest
+    tie, and a tie goes to the lowest start index.
     """
     bounded = not spec.domain.periodic
-    starts = _ladder_starts(spec, config)
+    starts, names = _ladder_starts(spec, config)
     if bounded:
         starts = np.abs(starts)
-    reports, final = _descend(spec, config, starts, _EnergyObjective(spec),
-                              list(range(len(starts))))
+    reports, final = _descend(spec, config, starts, _EnergyObjective(spec), names)
     if bounded:
         reports, final = _ensure_nonnegative(spec, config, reports, final)
 
-    converged = [r for r in reports if r.status == "converged"]
+    converged = [row for row, r in enumerate(reports) if r.status == "converged"]
     if not converged:
         lines = "\n".join(
             f"start {r.start_index}: status={r.status} residual={r.grad_residual:.3e} "
@@ -541,9 +585,9 @@ def find_ground_state(spec: ProblemSpec, config: SolveConfig) -> tuple[SolveRepo
             for r in reports
         )
         raise SolverStallError("no start converged:\n" + lines)
-    best = converged[_winner(converged)]
-    return (replace(best, rho_estimate=min(r.rho_estimate for r in reports)),
-            State.from_pair(spec.domain, final[best.start_index]))
+    row = converged[_winner([reports[k] for k in converged])]
+    return (replace(reports[row], rho_estimate=min(r.rho_estimate for r in reports)),
+            State.from_pair(spec.domain, final[row]))
 
 
 def _winner(reports: list[SolveReport]) -> int:

@@ -125,3 +125,29 @@ def descended_rows(spec, config, init, *args, **kwargs):
 
 def realized_rows(spec, S1, known, *args, **kwargs):
     return len(S1) * len(known)
+
+
+def orbit_gap(spec, a, b):
+    """Block-norm distance from the pair ``a`` (``(2, *shape)``) to the orbit
+    of the pair ``b``, relative to the larger of their norms, by a loop over
+    the group: every node shift (diagonal ones too) that leaves V1, V2 and
+    lambda bitwise unchanged, the component swap when V1 = V2 bitwise and
+    f1 = f2, and the sign.  ``||a -+ g b||^2`` expands as
+    ``||a||^2 + ||b||^2 -+ 2 <g (-lap+V) b, a>``, since ``-lap+V`` commutes
+    with every such ``g``."""
+    from nehari.grid import _schrodinger_values
+
+    dom, V = spec.domain, spec.potential_pair
+    fields = (spec.V1.values, spec.V2.values, spec.lam.values)
+    Ab = _schrodinger_values(b[None], V, dom)[0]
+    na = float(np.sum(_schrodinger_values(a[None], V, dom)[0] * a)) * dom.cell_volume
+    nb = float(np.sum(Ab * b)) * dom.cell_volume
+    swap = np.array_equal(V[0], V[1]) and spec.f1.terms == spec.f2.terms
+    axes = tuple(range(1, a.ndim))
+    best = 0.0
+    for d in np.ndindex(dom.shape):
+        if all(np.array_equal(f, np.roll(f, d, axis=tuple(range(f.ndim)))) for f in fields):
+            rolled = np.roll(Ab, d, axis=axes)
+            for image in (rolled, rolled[::-1]) if swap else (rolled,):
+                best = max(best, abs(float(np.sum(image * a))) * dom.cell_volume)
+    return float(np.sqrt(max(na + nb - 2.0 * best, 0.0)) / np.sqrt(max(na, nb)))

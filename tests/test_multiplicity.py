@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nehari import multiplicity as multiplicity_module
-from nehari.grid import DomainSpec, _roll_cells, _schrodinger_values, shift
+from nehari.grid import DomainSpec, _orbit_realization, _roll_cells, _schrodinger_values, shift
 from nehari.energy import State, _precondition, _ray_data, e_inner, norm_E
 from nehari.solver import (
     SolveConfig,
@@ -159,6 +159,112 @@ def test_orbit_distance_bounded_sign_quotient(small_bounded_spec):
             s.domain, s.u.values + t.u.values, s.v.values + t.v.values)),
     )
     assert abs(orbit_distance(small_bounded_spec, s, t) - direct) <= 1e-9 * direct
+
+
+def _cell_loop_realizer(spec, S1, known):
+    """The orbit realizer as a loop over every cell shift in ``np.ndindex``
+    order that keeps the first strictly larger ``|<(-lap+V) tau_z s_k, s1>|``:
+    the route the FFT correlation replaced, kept as its oracle."""
+    dom = spec.domain
+    q1 = _schrodinger_values(S1, spec.potential_pair, dom)
+    q2 = _schrodinger_values(known, spec.potential_pair, dom)
+    n1 = _pair_inner(dom, q1, S1)
+    n2 = _pair_inner(dom, q2, known)
+    periods = spec.symmetry.periods
+    best_ip = np.zeros((len(S1), len(known)))
+    best_z = np.zeros(best_ip.shape + (len(periods),), dtype=int)
+    for z in np.ndindex(periods):
+        rolled = _roll_cells(q2, z, dom)
+        for k in range(len(known)):
+            ip = _pair_inner(dom, rolled[k], S1)
+            better = np.abs(ip) > np.abs(best_ip[:, k])
+            best_ip[better, k] = ip[better]
+            best_z[better, k] = z
+    sign = np.where(best_ip >= 0, 1.0, -1.0)
+    dist = np.sqrt(np.maximum(n1[:, None] + n2 - 2.0 * np.abs(best_ip), 0.0))
+    return dist, sign, np.abs(best_ip), best_z, n1, n2
+
+
+@st.composite
+def torus_specs(draw, cosine=True):
+    """A 1D or 2D torus of 1-4 periods and 2-8 nodes per cell per axis: with
+    ``cosine`` a cosine well in V1 (V2 the same well or constant), else
+    constant fields with V1 = V2 or not."""
+    dim = draw(st.integers(1, 2))
+    periods = draw(st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+    m = draw(st.lists(st.integers(2, 8), min_size=dim, max_size=dim))
+    dom = DomainSpec.periodic_torus(periods, m)
+    same = draw(st.booleans())
+    if not cosine:
+        return make_spec(dom, V2=1.0 if same else 1.5)
+    well = lambda *x: 1.0 + 0.25 * np.prod([np.cos(2.0 * np.pi * xi) for xi in x], axis=0)
+    return make_spec(dom, V1=well, V2=well if same else 1.0)
+
+
+def _group_image(spec, S, data):
+    """``S`` mapped by a random element of the quotient's group: a node shift
+    by multiples of ``node_steps``, the swap when the group has it, the sign."""
+    group, dom = spec.symmetry, spec.domain
+    nodes = tuple(data.draw(st.integers(0, n // step - 1)) * step
+                  for n, step in zip(dom.shape, group.node_steps))
+    image = np.roll(S, nodes, axis=tuple(range(2, S.ndim)))
+    if group.swap and data.draw(st.booleans()):
+        image = image[:, ::-1]
+    return data.draw(st.sampled_from([1.0, -1.0])) * image
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=torus_specs(), seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 3),
+       orbits=st.integers(1, 3), data=st.data())
+def test_fft_realizer_matches_the_cell_loop(spec, seed, rows, orbits, data):
+    """On random cosine-torus rows the realizer (one FFT correlation per pair
+    of rows, the best shifts paired again directly) returns the cell loop's
+    distances, signs, pairings, shifts and norms bit for bit, also where a
+    known row is an exact sign-and-cell image of a row (distance 0)."""
+    dom = spec.domain
+    rng = np.random.default_rng(seed)
+    S1 = rng.standard_normal((rows, 2) + dom.shape)
+    known = rng.standard_normal((orbits, 2) + dom.shape)
+    if data.draw(st.booleans()):
+        z = tuple(data.draw(st.integers(0, p - 1)) for p in spec.symmetry.periods)
+        known[0] = data.draw(st.sampled_from([1.0, -1.0])) * _roll_cells(S1[-1], z, dom)
+    new = multiplicity_module._orbit_realizer(spec, S1, known)
+    old = _cell_loop_realizer(spec, S1, known)
+    for a, b in zip(new, old):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _quotient_distance(spec, a, b):
+    """The distance of the ladder's quotient (node steps, swap, sign) from
+    the rows of ``a`` to the orbits of the rows of ``b``, and their norms."""
+    group, V, dom = spec.symmetry, spec.potential_pair, spec.domain
+    dist, _, _, na, nb = _orbit_realization(dom, a, _schrodinger_values(a, V, dom), b,
+                                            _schrodinger_values(b, V, dom), group.node_steps,
+                                            group.swap)
+    return dist, na, nb
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.one_of(torus_specs(), torus_specs(cosine=False)),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_quotient_distance_to_a_group_image_is_roundoff(spec, seed, data):
+    """The distance the ladder's quotient measures (node steps, swap, sign)
+    from a row to any image of it under that group is roundoff: the square
+    root of the rounding of its squared norm."""
+    S = np.random.default_rng(seed).standard_normal((1, 2) + spec.domain.shape)
+    dist, n1, _ = _quotient_distance(spec, S, _group_image(spec, S, data))
+    assert dist[0, 0] <= 1e-7 * np.sqrt(n1[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.one_of(torus_specs(), torus_specs(cosine=False)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quotient_distance_is_symmetric(spec, seed):
+    """d(a, b) = d(b, a) under the quotient's group, to roundoff."""
+    a, b = np.random.default_rng(seed).standard_normal((2, 1, 2) + spec.domain.shape)
+    dab, na, nb = _quotient_distance(spec, a, b)
+    dba = _quotient_distance(spec, b, a)[0]
+    assert abs(dab[0, 0] - dba[0, 0]) <= 1e-12 * np.sqrt(max(na[0], nb[0]))
 
 
 def test_fountain_diagnostics_small(small_bounded_spec):

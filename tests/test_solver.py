@@ -27,6 +27,7 @@ from conftest import (
     count_calls,
     descended_rows,
     make_spec,
+    orbit_gap,
     projected_rows,
     random_state,
     ray_rows,
@@ -184,16 +185,41 @@ def test_default_box_iterate_budget(monkeypatch, bounded_spec):
     assert all(r.status == "converged" and r.iterations <= 25 for r in reports)
 
 
+def assert_one_row_per_orbit(spec, calls):
+    """The descents ``calls`` (``record_descents``) of one ``find_ground_state``
+    on a torus with a ladder: the coarsest level descends every start, and the
+    next descent gets one row per orbit of its rows, by a loop over the group
+    (``orbit_gap``): the lowest start index of each orbit, every pair of kept
+    rows more than ``_ORBIT_TOL`` apart and every dropped row within
+    ``_ORBIT_TOL`` of a kept lower-index row.  Returns the kept start indices."""
+    level = solver_module._coarse_levels(spec)[-1]
+    (_, coarse, rows), (_, after, _) = calls[0], calls[1]
+    assert [r.start_index for r in coarse] == list(range(len(rows)))
+    kept = [r.start_index for r in after]
+    assert kept[0] == 0 and kept == sorted(kept)
+    tol = solver_module._ORBIT_TOL
+    for j in range(len(rows)):
+        gaps = [orbit_gap(level, rows[j], rows[k]) for k in kept if k < j]
+        if j in kept:
+            assert all(gap > tol for gap in gaps)
+        else:
+            assert min(gaps) <= tol
+    return kept
+
+
 def test_periodic_cosine_ground_state_converges(monkeypatch):
-    """On a torus with a nonconstant periodic potential, every start
-    converges on the fine grid within 100 iterates (unit first steps stall
-    at 500; the direct descent takes 56-118, after the ladder 38-57)."""
+    """On a torus with a nonconstant periodic potential, every start the
+    ladder keeps (one per orbit) converges on the fine grid within 100
+    iterates (unit first steps stall at 500; the direct descent takes 56-118,
+    after the ladder 38-57)."""
     well = lambda x: 1.0 + 0.25 * np.cos(2.0 * np.pi * x)
     spec = make_spec(DomainSpec.periodic_torus([8], 16), V1=well, V2=well, lam=0.3)
     calls = record_descents(monkeypatch)
     rep, _ = find_ground_state(spec, SolveConfig(starts=3))
+    kept = assert_one_row_per_orbit(spec, calls)
     rows, reports, final = calls[-1]   # the fine level descends last
-    assert rows == 3 and final.shape[2:] == spec.domain.shape
+    assert rows == len(kept) and final.shape[2:] == spec.domain.shape
+    assert [r.start_index for r in reports] == kept
     assert all(r.status == "converged" and r.iterations <= 100 for r in reports)
     assert rep.grad_residual <= 1e-8
 
@@ -233,35 +259,70 @@ def test_ladder_levels(spec, levels):
     (cosine_torus(8, 8), 150),   # direct: 203/112/136; a ladder down to m = 2: 27/30/500
 ])
 def test_ladder_fine_descents_converge(monkeypatch, spec, budget):
-    """After the ladder every fine row of these tori converges within the
-    budget, and the report counts the fine iterates of its row."""
+    """After the ladder the fine descent gets one row per orbit, every fine
+    row of these tori converges within the budget, and the report counts the
+    fine iterates of its row."""
     calls = record_descents(monkeypatch)
     rep, _ = find_ground_state(spec, SolveConfig(starts=3))
+    kept = assert_one_row_per_orbit(spec, calls)
     rows, reports, final = calls[-1]
-    assert rows == 3 and final.shape[2:] == spec.domain.shape
+    assert rows == len(kept) and final.shape[2:] == spec.domain.shape
     assert all(r.status == "converged" and r.iterations <= budget for r in reports)
     assert rep.grad_residual <= 1e-8 and rep.iterations == reports[rep.start_index].iterations
 
 
 def test_unconverged_coarse_rows_are_still_prolonged(monkeypatch, periodic_spec_2d):
     """Coarse descents cut short at 2 iterates end unconverged; their rows
-    still pass to the fine grid, whose descent converges."""
+    still pass on, one per orbit after the coarsest level, to the fine grid,
+    whose descent converges."""
     fine = periodic_spec_2d.domain
     real = solver_module._descend
-    coarse_status = []
+    calls = []
 
     def cut_short(spec, config, init, *args, **kwargs):
         if spec.domain != fine:
             config = replace(config, max_iters=2)
         reports, final = real(spec, config, init, *args, **kwargs)
-        if spec.domain != fine:
-            coarse_status.extend(r.status for r in reports)
+        calls.append((len(init), reports, final))
         return reports, final
 
     monkeypatch.setattr(solver_module, "_descend", cut_short)
     rep, _ = find_ground_state(periodic_spec_2d, SolveConfig(starts=3))
-    assert coarse_status == ["max_iters"] * 6   # 3 rows on each of 2 levels
+    kept = assert_one_row_per_orbit(periodic_spec_2d, calls)
+    # 3 rows on the coarsest level, the kept ones on the second
+    assert [[r.status for r in reports] for _, reports, _ in calls[:2]] \
+        == [["max_iters"] * 3, ["max_iters"] * len(kept)]
     assert rep.status == "converged"
+
+
+def _bump_pair(dom, center_u, center_v):
+    """The pair array ``(2, *shape)`` of two periodic bumps."""
+    return np.stack([periodic_bump(dom, center_u).values, periodic_bump(dom, center_v).values])
+
+
+def test_quotient_keeps_sub_cell_translates_on_a_cosine_torus():
+    """On a cosine well only whole cells translate the problem: a bump pair
+    and its half-cell translate open two orbits, while its whole-cell
+    translate, negated, joins the first."""
+    spec = cosine_torus(4, 8)
+    dom = spec.domain
+    row = _bump_pair(dom, (1.25, 2.0), (1.5, 2.25))
+    half = _bump_pair(dom, (1.75, 2.0), (2.0, 2.25))
+    cell = -np.roll(row, (8, 16), axis=(1, 2))
+    assert spec.symmetry.node_steps == (8, 8)
+    assert solver_module._orbit_representatives(spec, np.stack([row, half, cell])) == [0, 1]
+
+
+def test_quotient_merges_node_shift_swap_and_sign_images_on_a_constant_torus():
+    """On constant fields every node shift, the swap and the sign map a row
+    into its orbit, composed too; without the swap in the group (V1 != V2)
+    the swapped image opens its own orbit."""
+    dom = DomainSpec.periodic_torus([4, 4], 4)
+    row = _bump_pair(dom, (1.3, 2.1), (2.0, 1.7))
+    image = -np.roll(row[::-1], (3, 5), axis=(1, 2))
+    pair = np.stack([row, image])
+    assert solver_module._orbit_representatives(make_spec(dom), pair) == [0]
+    assert solver_module._orbit_representatives(make_spec(dom, V2=2.0), pair) == [0, 1]
 
 
 def _nyquist_free(c):

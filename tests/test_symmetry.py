@@ -58,6 +58,36 @@ def test_mirrors_need_every_field_symmetric():
     assert make_spec(DomainSpec.periodic_torus([2, 3], 4)).symmetry.mirrors == ()
 
 
+_WELL_2D = lambda x, y: 1.0 + 0.5 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+
+
+@pytest.mark.parametrize("spec, steps", [
+    (make_spec(DomainSpec.periodic_torus([3, 4], 6)), (1, 1)),   # constant fields
+    (make_spec(DomainSpec.periodic_torus([16, 16], 16)), (1, 1)),   # the default torus
+    (make_spec(DomainSpec.periodic_torus([8, 8], 8), V1=_WELL_2D, V2=_WELL_2D), (8, 8)),
+    (make_spec(DomainSpec.periodic_torus([8], 16),   # the aliasing-lambda torus of the ladder
+               lam=lambda x: 0.3 + 0.1 * np.cos(6.0 * np.pi * x)), (16,)),
+    (make_spec(DomainSpec.periodic_torus([4, 4], 8),   # V1 varies along the first axis only
+               V1=lambda x, y: 1.0 + 0.25 * np.cos(2.0 * np.pi * x)), (8, 1)),
+    (make_spec(DomainSpec.periodic_torus([8], 16),   # a half-cell period, but not bitwise
+               V2=lambda x: 1.0 + 0.25 * np.cos(4.0 * np.pi * x)), (16,)),
+    (make_spec(DomainSpec.periodic_torus([8], 16),   # a half-cell period, bitwise
+               V2=lambda x: 1.0 + 0.25 * np.round(np.cos(4.0 * np.pi * x), 6)), (8,)),
+    (make_spec(DomainSpec.dirichlet_box(1.0, 64)), ()),
+])
+def test_node_steps(spec, steps):
+    """Per torus axis the fewest nodes that a shift along it moves V1, V2 and
+    lambda by and leaves them bitwise unchanged; every multiple of them does
+    too, and no smaller shift does."""
+    group = spec.symmetry
+    assert group.node_steps == steps
+    fields = (spec.V1.values, spec.V2.values, spec.lam.values)
+    for axis, step in enumerate(steps):
+        for d in range(1, spec.domain.shape[axis] + 1):
+            same = all(np.array_equal(f, np.roll(f, d, axis=axis)) for f in fields)
+            assert same == (d % step == 0)
+
+
 @lru_cache(maxsize=None)
 def _group_specs():
     """Problems whose groups hold every kind of element: a 1D box (swap, one
